@@ -9,15 +9,7 @@ from .families import (
     minus_family,
     plus_family,
 )
-from .intmath import (
-    Rational,
-    divisors,
-    extended_gcd,
-    gcd,
-    is_prime,
-    is_quadratic_residue,
-    primes_up_to,
-)
+from .intmath import divisors, gcd, primes_up_to
 from .qpoly import RationalPoly, linear
 from .scan_audit import (
     AuditInstance,
@@ -39,10 +31,8 @@ from .theorem import (
     ResidueClass,
     analyze_degrees,
     canonicalize,
-    condition_iii_holds,
     construct_solution,
     decide,
-    enumerate_condition_iii,
     enumerate_kl,
     identity_residual,
     search_condition_iii,
@@ -64,7 +54,6 @@ __all__ = [
     "ParamFamily",
     "ParamSet",
     "PolyTriple",
-    "Rational",
     "RationalPoly",
     "ResidueClass",
     "RoleTriple",
@@ -75,19 +64,14 @@ __all__ = [
     "audit_corollary3",
     "audit_corollary4",
     "canonicalize",
-    "condition_iii_holds",
     "construct_solution",
     "decide",
     "discriminant_identity",
     "divisors",
     "enumerate_base_solutions",
-    "enumerate_condition_iii",
     "enumerate_kl",
-    "extended_gcd",
     "gcd",
     "identity_residual",
-    "is_prime",
-    "is_quadratic_residue",
     "linear",
     "minus_family",
     "plus_family",

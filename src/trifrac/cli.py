@@ -125,8 +125,8 @@ def _poly_csv_row(tag: dict, name: str, p: RationalPoly) -> dict:
     row = dict(tag)
     row["poly"] = name
     row["degree"] = "" if p.degree is None else str(p.degree)
-    for i, c in enumerate(p.coeffs):
-        row[f"c{i}"] = str(c)
+    for i, c in enumerate(p.to_coeff_strings()):
+        row[f"c{i}"] = c
     return row
 
 
@@ -190,10 +190,12 @@ def cmd_base(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     residues = None
     if args.residues:
         residues = [int(tok) for tok in args.residues.split(",")]
-    report = scan_residues(args.m, args.n1, residues=residues, jobs=args.jobs)
+    report = scan_residues(args.m, args.n1, residues=residues)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan",
@@ -298,6 +300,10 @@ def _load_triple(path: str) -> PolyTriple:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: top-level JSON value must be an object with fields x, y, z")
     polys = {}
     for name in ("x", "y", "z"):
         if name not in raw:
@@ -387,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--residues", help="comma-separated subset of residues to scan")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; residues are always decided serially")
     add_format(p)
     p.set_defaults(func=cmd_scan)
 

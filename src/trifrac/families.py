@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .qpoly import RationalPoly
-from .theorem import PolyTriple, ResidueClass, identity_holds
+from .theorem import PolyTriple, ResidueClass, identity_residual
 
 
 class RoleTriple(NamedTuple):
@@ -63,7 +63,7 @@ class FamilySolution:
 def _checked(rc: ResidueClass, branch: str, x: RationalPoly, y: RationalPoly,
              z: RationalPoly) -> FamilySolution:
     triple = PolyTriple(x=x, y=y, z=z)
-    if not identity_holds(rc, triple):
+    if not identity_residual(rc, triple).is_zero():
         raise ArithmeticError(f"{branch}-family construction broke the identity for {rc}")
     integral = all(p.is_positive_integral() for p in (x, y, z))
     return FamilySolution(branch=branch, triple=triple, integral=integral,
@@ -74,11 +74,12 @@ def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     """The plus branch through (x0, y0, z0); the one integer solutions live on."""
     rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
-    q = Fraction(rc.n1, rc.n0)
-    share = Fraction(y0, y0 + z0)
-    x = RationalPoly([x0, x0 * q])
-    z = RationalPoly([z0, q * z0 * share])
-    y = RationalPoly([y0, y0 * q * (1 + share), (y0 * q) ** 2 / (y0 + z0)])
+    n0, n1 = rc.n0, rc.n1
+    w = y0 + z0
+    x = RationalPoly.from_ints([x0 * n0, x0 * n1], n0)
+    z = RationalPoly.from_ints([z0 * n0 * w, n1 * y0 * z0], n0 * w)
+    y = RationalPoly.from_ints([y0 * n0 * n0 * w, y0 * n1 * n0 * (w + y0), (y0 * n1) ** 2],
+                               n0 * n0 * w)
     return _checked(rc, "plus", x, y, z)
 
 
@@ -86,11 +87,11 @@ def minus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     """The minus branch through (x0, y0, z0); never integral when gcd(m, n1) = 1."""
     rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
-    q = Fraction(rc.n1, rc.n0)
-    u = Fraction(rc.n1, rc.m)
-    x = RationalPoly([x0, u * Fraction(x0 + z0, z0)])
-    z = RationalPoly([z0, u * Fraction(x0 + z0, x0)])
-    y = RationalPoly([y0, 2 * y0 * q - u, q * (y0 * q - u)])
+    m, n0, n1 = rc.m, rc.n0, rc.n1
+    x = RationalPoly.from_ints([x0 * m * z0, n1 * (x0 + z0)], m * z0)
+    z = RationalPoly.from_ints([z0 * m * x0, n1 * (x0 + z0)], m * x0)
+    y = RationalPoly.from_ints([y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0),
+                                n1 * n1 * (y0 * m - n0)], n0 * n0 * m)
     return _checked(rc, "minus", x, y, z)
 
 

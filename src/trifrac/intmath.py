@@ -1,41 +1,17 @@
-"""Exact integer and rational primitives shared by every other module.
+"""Exact integer primitives shared by every other module.
 
-Integers are plain Python ints (arbitrary precision, exact).  Rationals are
-``fractions.Fraction``, which keeps the denominator positive and the pair
-coprime after every operation.  Nothing in this package ever touches a float.
+Integers are plain Python ints (arbitrary precision, exact).  Nothing in
+this package ever touches a float.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-Rational = Fraction
 
 
 def gcd(a: int, b: int) -> int:
     """Nonnegative greatest common divisor, with gcd(0, 0) = 0."""
     return math.gcd(a, b)
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with g = gcd(a, b) >= 0 and u*a + v*b = g.
-
-    Rejects a = b = 0, where no Bezout pair is meaningful.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("extended_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 def divisors(n: int) -> list[int]:
@@ -54,22 +30,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(n)."""
-    if n < 0:
-        raise ValueError(f"is_prime requires n >= 0, got {n}")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending (simple sieve)."""
     if bound < 2:
@@ -80,14 +40,3 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [p for p in range(2, bound + 1) if sieve[p]]
-
-
-def is_quadratic_residue(a: int, n: int) -> bool:
-    """True iff w*w == a (mod n) for some w in [0, n).
-
-    Exhaustive O(n) check; intended for demonstrations, not hot paths.
-    """
-    if n < 2:
-        raise ValueError(f"is_quadratic_residue requires n >= 2, got {n}")
-    target = a % n
-    return any(w * w % n == target for w in range(n))

@@ -1,29 +1,74 @@
 """Dense univariate polynomials over the rationals, in the variable lambda.
 
-Coefficients are stored constant term first as exact ``Fraction`` values.
-The zero polynomial is the empty coefficient tuple and its degree is None;
-everything else keeps a nonzero leading coefficient.  All degrees appearing
-in this package are at most 3, so a dense representation is the right one.
+A polynomial is stored as integer numerators ``nums`` (constant term first)
+over one positive common denominator ``den``.  Every constructor reduces to
+a canonical form: the last numerator is nonzero and gcd(den, *nums) = 1, so
+equal polynomials have equal fields.  The zero polynomial is ``nums = ()``,
+``den = 1`` and its degree is None.  All arithmetic is integer arithmetic,
+and ``convolve`` is the package's one polynomial multiplication.  Degrees
+in this package stay small, so a dense representation is the right one.
 """
 
 from __future__ import annotations
 
+import re
+import reprlib
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
+
+# What ``to_coeff_strings`` writes: an integer or p/q with q > 0, ASCII digits.
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+# Longest coefficient string ``from_coeff_strings`` parses; well inside
+# int()'s default 4300-digit conversion limit.
+MAX_COEFF_CHARS = 1000
+
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _coeff_str(num: int, den: int) -> str:
+    """The coefficient num/den in lowest terms: "7" or "9/5"."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 class RationalPoly:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        den = lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "RationalPoly":
+        """The polynomial with coefficients nums[i]/den, constant term first."""
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        self = cls.__new__(cls)
+        self._store(list(nums), den)
+        return self
+
+    def _store(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
@@ -31,85 +76,79 @@ class RationalPoly:
     @property
     def degree(self) -> int | None:
         """Index of the last nonzero coefficient; None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
+            a[i] += c
+        return RationalPoly.from_ints(a, den)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(-c for c in self.coeffs)
+        return RationalPoly.from_ints([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RationalPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RationalPoly(out)
+        return RationalPoly.from_ints(convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, factor: Coeff) -> "RationalPoly":
-        return RationalPoly(Fraction(factor) * c for c in self.coeffs)
-
-    def eval(self, at: Coeff) -> Fraction:
-        """Exact Horner evaluation."""
-        x = Fraction(at)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __call__(self, at: Coeff) -> Fraction:
-        return self.eval(at)
+        return RationalPoly.from_ints([factor.numerator * c for c in self.nums],
+                                      self.den * factor.denominator)
 
     def is_positive_integral(self) -> bool:
         """True iff nonzero and every stored coefficient is a positive integer."""
-        if not self.coeffs:
-            return False
-        return all(c.denominator == 1 and c > 0 for c in self.coeffs)
+        return self.den == 1 and bool(self.nums) and all(c > 0 for c in self.nums)
 
     def to_coeff_strings(self) -> list[str]:
         """Serialize as coefficient strings, constant term first ("7" or "9/5")."""
-        return [str(c) for c in self.coeffs]
+        return [_coeff_str(c, self.den) for c in self.nums]
 
     @classmethod
     def from_coeff_strings(cls, items: Sequence[str]) -> "RationalPoly":
-        return cls(Fraction(s) for s in items)
+        """Parse what ``to_coeff_strings`` writes, and nothing else.
+
+        Each item must match ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator
+        and be at most MAX_COEFF_CHARS long; anything else raises ValueError.
+        """
+        pairs = []
+        for s in items:
+            match = _COEFF_RE.fullmatch(s) if len(s) <= MAX_COEFF_CHARS else None
+            if match is None:
+                raise ValueError(f"coefficient {reprlib.repr(s)} is not an integer or p/q "
+                                 f"(q > 0) of at most {MAX_COEFF_CHARS} characters")
+            pairs.append((int(match[1]), int(match[2] or 1)))
+        den = lcm(*(q for _, q in pairs))
+        return cls.from_ints([p * (den // q) for p, q in pairs], den)
 
     def format_text(self, var: str = "λ") -> str:
         """Human-readable form like "7 + 16λ + 9λ^2"; "0" for the zero polynomial."""
-        if not self.coeffs:
-            return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c == 0:
                 continue
-            mag = -c if c < 0 else c
-            coeff = str(mag) if mag.denominator == 1 else f"({mag})"
+            coeff = _coeff_str(abs(c), self.den)
+            if c % self.den:
+                coeff = f"({coeff})"
             if i == 0:
                 term = coeff
             elif i == 1:
@@ -123,14 +162,10 @@ class RationalPoly:
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
-        return f"RationalPoly({list(self.coeffs)!r})"
+        return f"RationalPoly.from_ints({list(self.nums)!r}, {self.den})"
 
     def __str__(self) -> str:
         return self.format_text()
-
-
-ZERO = RationalPoly()
-ONE = RationalPoly([1])
 
 
 def linear(c0: Coeff, c1: Coeff) -> RationalPoly:

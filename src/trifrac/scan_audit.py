@@ -11,7 +11,6 @@ together with a parameter set and triple that pass exact verification.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .intmath import gcd, primes_up_to
@@ -47,13 +46,9 @@ class ScanReport:
         return {"solvable": solvable, "unsolvable": len(self.rows) - solvable}
 
 
-def scan_residues(m: int, n1: int, residues: list[int] | None = None,
-                  jobs: int = 1) -> ScanReport:
-    """Run ``decide`` for every residue n0 coprime to n1 (or a given subset).
-
-    Rows are ordered by n0 regardless of ``jobs``, so output is
-    deterministic under any parallelism degree.
-    """
+def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanReport:
+    """Run ``decide`` for every residue n0 coprime to n1 (or a given subset),
+    in ascending order of n0."""
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
     if n1 < 2:
@@ -70,17 +65,8 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None,
             if gcd(n0, n1) != 1:
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
-
-    def run(n0: int) -> ScanRow:
-        return ScanRow(n0=n0, outcome=decide(ResidueClass(m, n0, n1)))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, residues))
-    else:
-        rows = [run(n0) for n0 in residues]
-    rows.sort(key=lambda r: r.n0)
-    return ScanReport(m=m, n1=n1, rows=tuple(rows))
+    rows = tuple(ScanRow(n0=n0, outcome=decide(ResidueClass(m, n0, n1))) for n0 in residues)
+    return ScanReport(m=m, n1=n1, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,19 @@ corresponds to a role assignment (x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of a
 positive triple solving the lambda = 0 instance, so scanning those triples
 yields a complete, certifiable answer.  ``search_condition_iii`` keeps the
 bounded family walk as a cross-check.
+
+``identity_residual`` is the one identity check, in exact integer
+arithmetic; independent verification routes live in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .base_solutions import enumerate_base_solutions
 from .intmath import divisors, gcd
-from .qpoly import RationalPoly, linear
+from .qpoly import RationalPoly, convolve, linear
 
 
 @dataclass(frozen=True)
@@ -206,25 +208,6 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
     return ParamFamily(k=k, l=l, s0=s0, r0=r0, step=(n0, n1))
 
 
-def condition_iii_holds(ps: ParamSet) -> bool:
-    """True iff r divides s*k*l."""
-    return (ps.s * ps.k * ps.l) % ps.r == 0
-
-
-def enumerate_condition_iii(fam: ParamFamily, t_max: int) -> list[ParamSet]:
-    """All parameter sets on the family with t in [0, t_max], s, r >= 1 and r | s*k*l."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    out = []
-    for t in range(t_max + 1):
-        s, r = fam.at(t)
-        if s < 1 or r < 1:
-            continue
-        if (s * fam.k * fam.l) % r == 0:
-            out.append(ParamSet(k=fam.k, l=fam.l, s=s, r=r))
-    return out
-
-
 def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
     """Smallest t in [0, t_max] meeting condition iii, or None.
 
@@ -258,77 +241,31 @@ def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
 
 def identity_residual(rc: ResidueClass, pt: PolyTriple) -> RationalPoly:
     """m*x*y*z - n*(x*y + x*z + y*z); the zero polynomial iff the cleared
-    form of the unit-fraction identity holds."""
-    x, y, z = pt.x, pt.y, pt.z
-    lhs = (x * y * z).scale(rc.m)
-    rhs = rc.n_poly() * (x * y + x * z + y * z)
-    return lhs - rhs
+    form of the unit-fraction identity holds.
 
-
-def _int_conv(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _int_sum(*polys: list[int]) -> list[int]:
-    out = [0] * max(len(p) for p in polys)
-    for p in polys:
-        for i, c in enumerate(p):
-            out[i] += c
-    return out
-
-
-def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
-    """Same truth value as ``identity_residual(rc, pt).is_zero()``.
-
-    Clears denominators once and compares integer convolutions, which is an
-    order of magnitude faster than exact rational polynomial arithmetic on
-    the sweep-sized workloads (the identity is homogeneous enough that one
-    common scale factor D turns it into m*X*Y*Z = D*n*(XY + XZ + YZ)).
+    This is the package's one identity check.  Scaling x, y, z by their
+    common denominator d gives integer coefficient lists X, Y, Z, so the
+    whole computation is integer convolution: the residual is
+    (m*X*Y*Z - d*n*(X*Y + X*Z + Y*Z)) / d^3.
     """
-    den = 1
-    for p in (pt.x, pt.y, pt.z):
-        for c in p.coeffs:
-            den = lcm(den, c.denominator)
-    ix = [c.numerator * (den // c.denominator) for c in pt.x.coeffs]
-    iy = [c.numerator * (den // c.denominator) for c in pt.y.coeffs]
-    iz = [c.numerator * (den // c.denominator) for c in pt.z.coeffs]
-    if not (ix and iy and iz):
-        return False
-    xy = _int_conv(ix, iy)
-    lhs = [rc.m * v for v in _int_conv(xy, iz)]
-    pairs = _int_sum(xy, _int_conv(ix, iz), _int_conv(iy, iz))
-    rhs = [den * v for v in _int_conv([rc.n0, rc.n1], pairs)]
-    width = max(len(lhs), len(rhs))
-    lhs += [0] * (width - len(lhs))
-    rhs += [0] * (width - len(rhs))
-    return lhs == rhs
+    d = lcm(pt.x.den, pt.y.den, pt.z.den)
+    x, y, z = ([c * (d // p.den) for c in p.nums] for p in (pt.x, pt.y, pt.z))
+    xy = convolve(x, y)
+    out = [rc.m * c for c in convolve(xy, z)]
+    dn = [d * rc.n0, d * rc.n1]
+    for pair in (xy, convolve(x, z), convolve(y, z)):
+        term = convolve(dn, pair)
+        out += [0] * (len(term) - len(out))
+        for i, c in enumerate(term):
+            out[i] -= c
+    return RationalPoly.from_ints(out, d ** 3)
 
 
 def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
-    """True iff the triple solves the residue-class equation exactly and all
-    three polynomials have strictly positive integer coefficients.
-
-    The polynomial identity is cross-checked by exact rational evaluation at
-    lambda = 0..10.
-    """
-    if not (pt.x.is_positive_integral() and pt.y.is_positive_integral() and pt.z.is_positive_integral()):
-        return False
-    if not identity_holds(rc, pt):
-        return False
-    n = rc.n_poly()
-    for lam in range(11):
-        lhs = Fraction(rc.m) / n.eval(lam)
-        rhs = 1 / pt.x.eval(lam) + 1 / pt.y.eval(lam) + 1 / pt.z.eval(lam)
-        if lhs != rhs:
-            return False
-    return True
+    """True iff all three polynomials have strictly positive integer
+    coefficients and the triple solves the residue-class equation exactly."""
+    return (pt.x.is_positive_integral() and pt.y.is_positive_integral()
+            and pt.z.is_positive_integral() and identity_residual(rc, pt).is_zero())
 
 
 def decide(rc: ResidueClass, collect_evidence: bool = True) -> DecisionOutcome:

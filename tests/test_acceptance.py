@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 
 from acceptance_report import criterion
+from oracles import enumerate_condition_iii, identity_holds
 from trifrac.base_solutions import enumerate_base_solutions, triples_with_member
 from trifrac.cli import main as cli_main
 from trifrac.families import RoleTriple, discriminant_identity, minus_family, plus_family
@@ -17,7 +18,6 @@ from trifrac.theorem import (
     ResidueClass,
     analyze_degrees,
     decide,
-    enumerate_condition_iii,
     enumerate_kl,
     identity_residual,
     search_condition_iii,
@@ -100,6 +100,9 @@ def test_criterion_5_identity_property_suite(full_grid):
                         # exact rational-polynomial residual as a second route
                         assert identity_residual(rc, plus.triple).is_zero()
                         assert identity_residual(rc, minus.triple).is_zero()
+                        # independent oracle: exact evaluation at deg + 1 points
+                        assert identity_holds(rc, plus.triple)
+                        assert identity_holds(rc, minus.triple)
                     families_checked += 1
         assert families_checked > 100_000
 

@@ -86,6 +86,10 @@ def test_scan_json_and_parallel_determinism(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["admissible"] == ["4", "7", "8"]
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, ["scan", "--m", "5", "--n1", "9", "--jobs", jobs])
+        assert code == 2 and out == ""
+        assert "--jobs must be >= 1" in err
 
 
 def test_scan_residue_subset(capsys):
@@ -204,6 +208,27 @@ def test_verify_reports_json_parse_position(capsys, tmp_path):
                                 "--file", str(triple_file)])
     assert code == 2
     assert "line" in err
+
+
+def _triple_with_x(coeff: str) -> str:
+    return json.dumps({"x": [coeff, "18"], "y": ["7", "16", "9"], "z": ["2", "2"]})
+
+
+@pytest.mark.parametrize("content", [
+    *(pytest.param(doc, id=doc[:8]) for doc in ('"xyz"', "123", "null", "[]", "[" * 100_000)),
+    *(pytest.param(_triple_with_x(c), id=f"x={c[:12]}") for c in (
+        "7.0", "9e0", "1e3", "1e999999999", ".5", "+7", " 7 ", "1_000", "7/",
+        "/7", "1/0", "", "٧", "1" * 1001,
+    )),
+])
+def test_verify_rejects_malformed_file(capsys, tmp_path, content):
+    triple_file = tmp_path / "triple.json"
+    triple_file.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--m", "5", "--n0", "7", "--n1", "9",
+                                  "--file", str(triple_file)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_verify_json_payload_degrees(capsys, tmp_path):

@@ -5,15 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import is_quadratic_residue
 
-from trifrac.intmath import (
-    divisors,
-    extended_gcd,
-    gcd,
-    is_prime,
-    is_quadratic_residue,
-    primes_up_to,
-)
+from trifrac.intmath import divisors, gcd, primes_up_to
 
 
 def test_gcd_examples():
@@ -22,31 +16,6 @@ def test_gcd_examples():
     assert gcd(21, 14) == 7
     assert gcd(0, 0) == 0
     assert gcd(-21, 14) == 7
-
-
-def test_extended_gcd_examples():
-    g, u, v = extended_gcd(9, 7)
-    assert g == 1 and 9 * u + 7 * v == 1
-
-    g, u, v = extended_gcd(5, 5)
-    assert g == 5 and 5 * u + 5 * v == 5
-
-    g, u, v = extended_gcd(19, 7)
-    assert g == 1 and 19 * u + 7 * v == 1
-
-
-def test_extended_gcd_rejects_double_zero():
-    with pytest.raises(ValueError):
-        extended_gcd(0, 0)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_extended_gcd_identity(a, b):
-    if a == 0 and b == 0:
-        return
-    g, u, v = extended_gcd(a, b)
-    assert g == gcd(a, b)
-    assert u * a + v * b == g
 
 
 def test_divisors_examples():
@@ -72,23 +41,9 @@ def test_divisors_pairing(n):
         assert n // d in ds
 
 
-def test_is_prime_examples():
-    assert is_prime(19)
-    assert not is_prime(1)
-    assert is_prime(29)
-    assert is_prime(2)
-    assert not is_prime(0)
-    assert not is_prime(91)  # 7 * 13
-
-
-def test_is_prime_rejects_negative():
-    with pytest.raises(ValueError):
-        is_prime(-7)
-
-
 def test_primes_up_to_matches_trial_division():
     ps = primes_up_to(200)
-    assert ps == [n for n in range(2, 201) if is_prime(n)]
+    assert ps == [n for n in range(2, 201) if all(n % d for d in range(2, n))]
     assert primes_up_to(1) == []
 
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import poly_eval
 
-from trifrac.qpoly import ONE, ZERO, RationalPoly, linear
+from trifrac.qpoly import RationalPoly, linear
+
+ZERO = RationalPoly()
+ONE = RationalPoly([1])
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-polys = st.lists(coeffs, min_size=0, max_size=4).map(RationalPoly)
+coeff_lists = st.lists(coeffs, min_size=0, max_size=4)
+polys = coeff_lists.map(RationalPoly)
 
 
 def test_add_examples():
@@ -25,10 +31,11 @@ def test_mul_examples():
 
 
 def test_eval_examples():
-    assert RationalPoly([7, 16, 9]).eval(0) == 7
-    assert linear(7, 9).eval(1) == 16
-    assert ZERO.eval(5) == 0
-    assert RationalPoly([7, 16, 9])(Fraction(1, 3)) == 7 + Fraction(16, 3) + 1
+    assert poly_eval(RationalPoly([7, 16, 9]), 0) == 7
+    assert poly_eval(linear(7, 9), 1) == 16
+    assert poly_eval(ZERO, 5) == 0
+    assert poly_eval(RationalPoly([7, 16, 9]), Fraction(1, 3)) == 7 + Fraction(16, 3) + 1
+    assert poly_eval(RationalPoly([Fraction(1, 2), Fraction(3, 4)]), 2) == 2
 
 
 def test_degree_and_normalization():
@@ -78,8 +85,46 @@ def test_degree_of_product(p, q):
 
 @given(polys, polys, coeffs)
 def test_eval_is_ring_homomorphism(p, q, a):
-    assert (p * q).eval(a) == p.eval(a) * q.eval(a)
-    assert (p + q).eval(a) == p.eval(a) + q.eval(a)
+    assert poly_eval(p * q, a) == poly_eval(p, a) * poly_eval(q, a)
+    assert poly_eval(p + q, a) == poly_eval(p, a) + poly_eval(q, a)
+
+
+def _trim(cs: list[Fraction]) -> list[Fraction]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _fractions(p: RationalPoly) -> list[Fraction]:
+    """The stored form as plain coefficients, after checking it is canonical."""
+    assert p.den >= 1
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+    return [Fraction(c, p.den) for c in p.nums]
+
+
+@given(coeff_lists, coeff_lists, coeffs)
+def test_operations_match_fraction_list_reference(a, b, f):
+    p, q = RationalPoly(a), RationalPoly(b)
+    width = max(len(a), len(b))
+    pa = a + [Fraction(0)] * (width - len(a))
+    pb = b + [Fraction(0)] * (width - len(b))
+    product = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            product[i + j] += ca * cb
+
+    assert _fractions(p) == _trim(a)
+    assert _fractions(p + q) == _trim([x + y for x, y in zip(pa, pb)])
+    assert _fractions(p - q) == _trim([x - y for x, y in zip(pa, pb)])
+    assert _fractions(p * q) == _trim(product)
+    assert _fractions(p.scale(f)) == _trim([f * c for c in a])
+    assert p.degree == (len(_trim(a)) - 1 if _trim(a) else None)
+    assert p.to_coeff_strings() == [str(c) for c in _trim(a)]
+    parsed = RationalPoly.from_coeff_strings([str(c) for c in a])
+    assert parsed == p
+    assert _fractions(parsed) == _trim(a)
 
 
 def test_coeff_string_serialization():

