@@ -156,6 +156,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]) -> N
 # ---------------------------------------------------------------- commands
 
 def cmd_decide(args) -> int:
+    if args.t_max < 0:
+        raise ValueError(f"--t-max must be >= 0, got {args.t_max}")
     rc = ResidueClass(args.m, args.n0, args.n1)
     outcome = decide(rc)
     payload = {"schema_version": SCHEMA_VERSION, "command": "decide"}

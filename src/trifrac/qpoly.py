@@ -24,6 +24,8 @@ _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 # Longest coefficient string ``from_coeff_strings`` parses; well inside
 # int()'s default 4300-digit conversion limit.
 MAX_COEFF_CHARS = 1000
+# Most coefficients per polynomial; the identity residual is quadratic in it.
+MAX_COEFFS = 1000
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -128,8 +130,11 @@ class RationalPoly:
         """Parse what ``to_coeff_strings`` writes, and nothing else.
 
         Each item must match ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator
-        and be at most MAX_COEFF_CHARS long; anything else raises ValueError.
+        and be at most MAX_COEFF_CHARS long, and there may be at most
+        MAX_COEFFS items; anything else raises ValueError.
         """
+        if len(items) > MAX_COEFFS:
+            raise ValueError(f"{len(items)} coefficients; at most {MAX_COEFFS} are accepted")
         pairs = []
         for s in items:
             match = _COEFF_RE.fullmatch(s) if len(s) <= MAX_COEFF_CHARS else None

@@ -17,13 +17,12 @@ and in that case the solution is
     y = (n0 + n1*lambda)*(s + r*lambda).
 
 Conditions i) and ii) are cheap to search (divisor enumeration plus a linear
-congruence), but the one-parameter family of condition-ii solutions carries
-no termination bound for condition iii).  ``decide`` therefore routes
-through the finite base-solution oracle: every admissible parameter set
-corresponds to a role assignment (x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of a
-positive triple solving the lambda = 0 instance, so scanning those triples
-yields a complete, certifiable answer.  ``search_condition_iii`` keeps the
-bounded family walk as a cross-check.
+congruence).  ``decide`` routes through the finite base-solution oracle:
+every admissible parameter set corresponds to a role assignment
+(x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of a positive triple solving the
+lambda = 0 instance, so scanning those triples yields a complete,
+certifiable answer.  ``search_condition_iii`` walks the condition-ii family
+up to a bound on t, visiting only the divisors of (k*l)^2, as a cross-check.
 
 ``identity_residual`` is the one identity check, in exact integer
 arithmetic; independent verification routes live in the tests.
@@ -31,11 +30,12 @@ arithmetic; independent verification routes live in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 
 from .base_solutions import enumerate_base_solutions
-from .intmath import divisors, gcd
+from .intmath import divisors, divisors_from, factorize, gcd
 from .qpoly import RationalPoly, convolve, linear
 
 
@@ -211,17 +211,27 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
 def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
     """Smallest t in [0, t_max] meeting condition iii, or None.
 
-    This is a semi-decision: absence up to t_max certifies nothing by
-    itself.  ``decide`` gives the complete answer.
+    On the line, s*n1 = k*l + r*n0 gives k*l = s*n1 (mod r), so r | s*k*l
+    forces r | (k*l)^2 (factored through k and l).  The walk visits those
+    divisors with r = r0 (mod n1) in ascending order, as r grows with t.  A
+    family off condition ii, or with a nonpositive step, raises ValueError.
+    A miss up to t_max certifies nothing; ``decide`` gives the complete answer.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    for t in range(t_max + 1):
-        s, r = fam.at(t)
-        if s < 1 or r < 1:
-            continue
-        if (s * fam.k * fam.l) % r == 0:
-            return ParamSet(k=fam.k, l=fam.l, s=s, r=r)
+    k, l, s0, r0 = fam.k, fam.l, fam.s0, fam.r0
+    n0, n1 = fam.step
+    if n0 < 1 or n1 < 1 or s0 * n1 != k * l + r0 * n0:
+        raise ValueError(f"{fam.describe()} with (k, l) = ({k}, {l}) is not a condition-ii family")
+    factors = Counter(factorize(k)) + Counter(factorize(l))
+    r_max = r0 + n1 * t_max
+    for r in divisors_from({p: 2 * e for p, e in factors.items()}):
+        if r > r_max:
+            break
+        t, off = divmod(r - r0, n1)
+        s = s0 + n0 * t
+        if off == 0 and t >= 0 and s >= 1 and (s * k * l) % r == 0:
+            return ParamSet(k=k, l=l, s=s, r=r)
     return None
 
 

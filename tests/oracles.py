@@ -1,7 +1,8 @@
 """Independent reference routes the tests compare trifrac against.
 
 None of these share code with the production checks: they evaluate
-pointwise with ``Fraction`` or walk a search space exhaustively.
+pointwise with ``Fraction``, trial-divide, or walk a search space
+exhaustively.
 """
 
 from __future__ import annotations
@@ -34,6 +35,22 @@ def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
         if rc.m * x * y * z != (rc.n0 + rc.n1 * lam) * (x * y + x * z + y * z):
             return False
     return True
+
+
+def trial_divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, by trial division to sqrt(n)."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    small = []
+    large = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def is_quadratic_residue(a: int, n: int) -> bool:

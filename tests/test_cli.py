@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main
+from trifrac.qpoly import MAX_COEFFS
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
 
@@ -57,6 +62,20 @@ def test_decide_rejects_invalid_instance(capsys):
     code, _, err = run(capsys, ["decide", "--m", "3", "--n0", "7", "--n1", "9"])
     assert code == 2
     assert "m must be >= 4" in err
+
+
+@pytest.mark.parametrize("n1", ["9", "19"])  # solvable, unsolvable
+def test_decide_rejects_negative_t_max(capsys, n1):
+    code, out, err = run(capsys, ["decide", "--m", "5", "--n0", "7", "--n1", n1,
+                                  "--t-max", "-1"])
+    assert code == 2 and out == ""
+    assert "--t-max must be >= 0" in err
+
+
+def test_decide_rejects_modulus_beyond_factoring_limit(capsys):
+    code, out, err = run(capsys, ["decide", "--m", "7", "--n0", "1", "--n1", str(10**30)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: factorize requires n <") and len(err.splitlines()) == 1
 
 
 def test_decide_csv(capsys):
@@ -220,6 +239,8 @@ def _triple_with_x(coeff: str) -> str:
         "7.0", "9e0", "1e3", "1e999999999", ".5", "+7", " 7 ", "1_000", "7/",
         "/7", "1/0", "", "٧", "1" * 1001,
     )),
+    pytest.param(json.dumps({"x": ["1"] * (MAX_COEFFS + 1), "y": ["7", "16", "9"],
+                             "z": ["2", "2"]}), id="x=too many coefficients"),
 ])
 def test_verify_rejects_malformed_file(capsys, tmp_path, content):
     triple_file = tmp_path / "triple.json"
@@ -248,3 +269,51 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _ints(lo, hi):
+    # uniform draws: plain integer strategies dwell on the range ends
+    return st.sampled_from(range(lo, hi + 1)).map(str)
+
+
+_M = _ints(-1, 12)
+
+
+@st.composite
+def _family_argv(draw):
+    m, n0 = draw(st.sampled_from(range(4, 9))), draw(st.sampled_from(range(1, 13)))
+    triples = enumerate_base_solutions(m, n0)
+    base = draw(st.one_of(
+        st.lists(st.sampled_from(range(-2, 31)), min_size=2, max_size=4),
+        st.sampled_from(triples).map(list) if triples else st.nothing(),
+    ))
+    return ["family", "--m", str(m), "--n0", str(n0), "--n1", draw(_ints(-3, 40)),
+            "--base", ",".join(map(str, base)),
+            "--roles", ",".join(draw(st.permutations(["x0", "y0", "z0"]))),
+            "--branch", draw(st.sampled_from(["plus", "minus"]))]
+
+
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.just("decide"), st.just("--m"), _M, st.just("--n0"), _ints(-3, 199),
+              st.just("--n1"), _ints(-3, 199), st.just("--t-max"), _ints(-2, 30)),
+    st.tuples(st.just("scan"), st.just("--m"), _M, st.just("--n1"), _ints(-3, 40),
+              st.just("--jobs"), _ints(-1, 4)),
+    st.tuples(st.just("base"), st.just("--m"), _M, st.just("--n0"), _ints(-3, 199)),
+    st.tuples(st.just("audit"), st.just("--corollary"), st.sampled_from(["i", "3", "4"]),
+              st.just("--m"), _M, st.just("--bound"), _ints(-3, 59)),
+).map(list) | _family_argv()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FUZZ_ARGV, st.sampled_from(["text", "json", "csv"]))
+def test_cli_fuzz_exit_codes(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--format", fmt])
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))

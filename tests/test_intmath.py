@@ -3,11 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import is_quadratic_residue
+from oracles import is_quadratic_residue, trial_divisors
 
-from trifrac.intmath import divisors, gcd, primes_up_to
+from trifrac.intmath import FACTOR_LIMIT, divisors, factorize, gcd, primes_up_to
 
 
 def test_gcd_examples():
@@ -39,6 +39,64 @@ def test_divisors_pairing(n):
     for d in ds:
         assert n % d == 0
         assert n // d in ds
+
+
+def _product(factors: dict[int, int]) -> int:
+    out = 1
+    for p, e in factors.items():
+        out *= p ** e
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**12))
+@example(1)
+@example(10**12)
+@example(999_999_999_989)
+@example(2**39)
+def test_divisors_match_trial_division_oracle(n):
+    ds = divisors(n)
+    assert ds == trial_divisors(n)
+    factors = factorize(n)
+    assert _product(factors) == n
+    assert list(factors) == sorted(factors)
+    assert all(len(trial_divisors(p)) == 2 for p in factors)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (1, {}),
+    (2**61 - 1, {2**61 - 1: 1}),
+    # Carmichael numbers fool the Fermat test
+    (561, {3: 1, 11: 1, 17: 1}),
+    (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+    (825265, {5: 1, 7: 1, 17: 1, 19: 1, 73: 1}),
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2..37
+    (3215031751, {151: 1, 751: 1, 28351: 1}),
+    (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+    # powers of primes beyond trial division
+    ((10**12 + 39) ** 2, {10**12 + 39: 2}),
+    (1000003**3, {1000003: 3}),
+    (2**80, {2: 80}),
+    # semiprimes with both factors near 10^12 (rho does the work)
+    (999_999_999_989 * (10**12 + 39), {999_999_999_989: 1, 10**12 + 39: 1}),
+    (FACTOR_LIMIT - 1, {2: 2, 3: 4, 5: 1, 127: 1, 18778597: 1, 858557454841: 1}),
+])
+def test_factorize_hard_cases(n, expected):
+    assert factorize(n) == expected
+    assert divisors(n)[-1] == n
+
+
+def test_factorize_rejects_out_of_range():
+    # the limit is itself composite: a strong pseudoprime to every base 2..41
+    assert FACTOR_LIMIT == 1287836182261 * 2575672364521
+    for n in (FACTOR_LIMIT, FACTOR_LIMIT + 1, 10**30):
+        with pytest.raises(ValueError, match="factorize requires n <"):
+            factorize(n)
+        with pytest.raises(ValueError):
+            divisors(n)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            factorize(n)
 
 
 def test_primes_up_to_matches_trial_division():

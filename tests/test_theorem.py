@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import enumerate_condition_iii, identity_holds, is_quadratic_residue
 
 from trifrac.base_solutions import enumerate_base_solutions
@@ -131,6 +133,38 @@ def test_search_condition_iii():
         search_condition_iii(fam_9, -1)
     with pytest.raises(ValueError, match="t_max"):
         enumerate_condition_iii(fam_9, -1)
+
+
+@pytest.mark.parametrize("t_max", [0, 1, 3, 50, 400])
+def test_search_condition_iii_matches_linear_walk(small_grid, t_max):
+    for rc in small_grid:
+        for k, l in enumerate_kl(rc.m, rc.n1):
+            fam = solve_condition_ii(rc, k, l)
+            hits = enumerate_condition_iii(fam, t_max)
+            assert search_condition_iii(fam, t_max) == (hits[0] if hits else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 11), st.integers(1, 3000), st.integers(1, 300), st.integers(1, 400),
+       st.integers(0, 3000))
+def test_search_condition_iii_matches_linear_walk_on_large_moduli(m, k, l, n0, t_max):
+    n1 = l * (m * k - 1)
+    assume(n0 < n1 and gcd(n0, n1) == 1 and gcd(n1, m) == 1)
+    for kk, ll in enumerate_kl(m, n1):
+        fam = solve_condition_ii(ResidueClass(m, n0, n1), kk, ll)
+        hits = enumerate_condition_iii(fam, t_max)
+        assert search_condition_iii(fam, t_max) == (hits[0] if hits else None)
+
+
+def test_search_condition_iii_rejects_non_condition_ii_family():
+    # 1*9 != 2*1 + (-5)*7: not a line of condition-ii solutions
+    fam = ParamFamily(k=2, l=1, s0=1, r0=-5, step=(7, 9))
+    with pytest.raises(ValueError, match="not a condition-ii family"):
+        search_condition_iii(fam, 10)
+    # -1*(-9) = 2*1 + (-1)*(-7) holds, but the steps must be positive
+    fam = ParamFamily(k=2, l=1, s0=-1, r0=-1, step=(-7, -9))
+    with pytest.raises(ValueError, match="not a condition-ii family"):
+        search_condition_iii(fam, 10)
 
 
 def test_enumerate_condition_iii_handles_nonpositive_r0():
