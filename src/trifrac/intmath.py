@@ -30,7 +30,7 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def _is_probable_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..41; exact for odd 41 < n < FACTOR_LIMIT."""
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -92,7 +92,7 @@ def factorize(n: int) -> dict[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         c = pending.pop()
-        if c < p * p or _is_probable_prime(c):
+        if c < p * p or _is_prime(c):
             out[c] = out.get(c, 0) + 1
             continue
         root = math.isqrt(c)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -41,13 +42,6 @@ def test_divisors_pairing(n):
         assert n // d in ds
 
 
-def _product(factors: dict[int, int]) -> int:
-    out = 1
-    for p, e in factors.items():
-        out *= p ** e
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10**12))
 @example(1)
@@ -58,7 +52,7 @@ def test_divisors_match_trial_division_oracle(n):
     ds = divisors(n)
     assert ds == trial_divisors(n)
     factors = factorize(n)
-    assert _product(factors) == n
+    assert math.prod(p ** e for p, e in factors.items()) == n
     assert list(factors) == sorted(factors)
     assert all(len(trial_divisors(p)) == 2 for p in factors)
 
@@ -79,6 +73,7 @@ def test_divisors_match_trial_division_oracle(n):
     (2**80, {2: 80}),
     # semiprimes with both factors near 10^12 (rho does the work)
     (999_999_999_989 * (10**12 + 39), {999_999_999_989: 1, 10**12 + 39: 1}),
+    ((10**12 + 39) * (10**12 + 61), {10**12 + 39: 1, 10**12 + 61: 1}),
     (FACTOR_LIMIT - 1, {2: 2, 3: 4, 5: 1, 127: 1, 18778597: 1, 858557454841: 1}),
 ])
 def test_factorize_hard_cases(n, expected):
