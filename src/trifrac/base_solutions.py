@@ -1,17 +1,20 @@
-"""Exhaustive enumeration of positive triples with 1/a + 1/b + 1/c = m/n0.
+"""Enumeration of positive triples with 1/a + 1/b + 1/c = m/n0.
 
 These are the zeroth-order instances of the residue-class equation (the
-lambda = 0 case), used as the finite certificate behind the complete decision
-procedure.  Enumeration is pure integer arithmetic: a ranges over
-n0/m < a <= 3*n0/m, the remainder after 1/a fixes the window for b, and c is
-forced, so no solution can be missed and no float ever decides a boundary.
+lambda = 0 case), the finite certificate behind the complete decision
+procedure.  One divisor walk finds every triple through a member u: with
+1/b + 1/c = m/n0 - 1/u = P/Q in lowest terms, (P*b - Q)*(P*c - Q) = Q^2, so
+for b <= c the value d = P*b - Q runs over the divisors d <= Q of Q^2 with
+d = -Q (mod P).  The full enumeration walks each possible smallest member
+n0/m < a <= 3*n0/m.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from itertools import permutations
 from typing import Iterator, NamedTuple
+
+from .intmath import divisors_from, factorize, gcd
 
 
 class BaseTriple(NamedTuple):
@@ -21,56 +24,59 @@ class BaseTriple(NamedTuple):
     b: int
     c: int
 
-    def contains(self, member: int) -> bool:
-        return member in (self.a, self.b, self.c)
-
-    def unit_sum(self) -> Fraction:
-        return Fraction(1, self.a) + Fraction(1, self.b) + Fraction(1, self.c)
-
     def role_assignments(self) -> Iterator[tuple[int, int, int]]:
-        """Distinct ordered assignments of the three members to roles."""
-        seen = set()
-        members = (self.a, self.b, self.c)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if {i, j, k} == {0, 1, 2}:
-                        rt = (members[i], members[j], members[k])
-                        if rt not in seen:
-                            seen.add(rt)
-                            yield rt
+        """Distinct ordered role assignments, in lexicographic order of the index permutations."""
+        return iter(dict.fromkeys(permutations(self)))
 
 
-@lru_cache(maxsize=None)
-def enumerate_base_solutions(m: int, n0: int) -> tuple[BaseTriple, ...]:
-    """All unordered positive triples {a <= b <= c} with 1/a + 1/b + 1/c = m/n0.
+def _walk(m: int, n0: int, n0_primes: dict[int, int], u: int) -> Iterator[tuple[int, int]]:
+    """All b <= c with 1/u + 1/b + 1/c = m/n0, in ascending order of b.
 
-    gcd(m, n0) > 1 is allowed; the empty tuple is a valid result.
+    Q = n0*u/g is factored through n0: ``factorize`` sees only its part
+    coprime to n0, which divides u.
+    """
+    num, den = m * u - n0, n0 * u
+    if num <= 0:
+        return
+    g = gcd(num, den)
+    p, q = num // g, den // g
+    factors, rest = {}, q
+    for prime in n0_primes:
+        while rest % prime == 0:
+            rest //= prime
+            factors[prime] = factors.get(prime, 0) + 2
+    factors.update((prime, 2 * e) for prime, e in factorize(rest).items())
+    for d in divisors_from(factors):
+        if d > q:
+            break
+        if (d + q) % p == 0:
+            yield (d + q) // p, (q * q // d + q) // p
+
+
+def enumerate_base_solutions(m: int, n0: int, member: int | None = None) -> tuple[BaseTriple, ...]:
+    """All unordered positive triples {a <= b <= c} with 1/a + 1/b + 1/c = m/n0,
+    in ascending order; with ``member``, only those that contain it.
+
+    gcd(m, n0) > 1 is allowed; the empty tuple is a valid result.  n0 must be
+    below ``intmath.FACTOR_LIMIT``, since every walk factors it.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
-    out = []
-    a_lo = n0 // m + 1            # smallest a with a*m > n0
-    a_hi = (3 * n0) // m          # largest a with a*m <= 3*n0
-    for a in range(a_lo, a_hi + 1):
-        # m/n0 - 1/a = p/q with p > 0 by the choice of a_lo
-        p = m * a - n0
-        q = n0 * a
-        b_lo = max(a, q // p + 1)     # 1/b strictly below p/q, else c blows up
-        b_hi = (2 * q) // p           # b <= c forces p/q <= 2/b
-        for b in range(b_lo, b_hi + 1):
-            den = p * b - q
-            num = q * b
-            if num % den == 0:
-                c = num // den
-                out.append(BaseTriple(a, b, c))
+    if member is not None and member < 1:
+        raise ValueError(f"member must be >= 1, got {member}")
+    n0_primes = factorize(n0)
+    if member is not None:
+        out = [BaseTriple(*sorted((member, b, c)))
+               for b, c in _walk(m, n0, n0_primes, member)]
+    else:
+        out = [BaseTriple(a, b, c)
+               for a in range(n0 // m + 1, 3 * n0 // m + 1)
+               for b, c in _walk(m, n0, n0_primes, a) if b >= a]
     return tuple(sorted(out))
 
 
 def triples_with_member(m: int, n0: int, member: int) -> tuple[BaseTriple, ...]:
     """The base solutions of m/n0 whose canonical form contains ``member``."""
-    if member < 1:
-        raise ValueError(f"member must be >= 1, got {member}")
-    return tuple(t for t in enumerate_base_solutions(m, n0) if t.contains(member))
+    return enumerate_base_solutions(m, n0, member)

@@ -22,6 +22,13 @@ from .theorem import (
     enumerate_kl,
 )
 
+# Size limits, checked before anything is allocated (a residue subset of any
+# modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
+# full JSON scan of m = 4, n1 = 49999 takes 21 s at 330 MB; at bound 10000,
+# audit corollary 3 (m = 5) takes 145 s and condition i (m = 4) 133 s, < 100 MB.
+MAX_SCAN_MODULUS = 50_000
+MAX_AUDIT_BOUND = 10_000
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -57,6 +64,9 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
     if g != 1:
         raise ValueError(f"gcd(m, n1) must be 1, got gcd({m}, {n1}) = {g}")
     if residues is None:
+        if n1 > MAX_SCAN_MODULUS:
+            raise ValueError(f"a full scan needs n1 <= {MAX_SCAN_MODULUS}, got {n1}; "
+                             "scan a subset of residues instead")
         residues = [n0 for n0 in range(1, n1) if gcd(n0, n1) == 1]
     else:
         for n0 in residues:
@@ -94,6 +104,13 @@ class AuditReport:
         return tuple(i for i in self.instances if i.verdict == "discrepancy")
 
 
+def _check_bound(bound: int, least: int) -> None:
+    if bound < least:
+        raise ValueError(f"bound must be >= {least}, got {bound}")
+    if bound > MAX_AUDIT_BOUND:
+        raise ValueError(f"bound must be <= {MAX_AUDIT_BOUND}, got {bound}")
+
+
 def _first_solvable(m: int, p: int) -> DecisionOutcome | None:
     for n0 in range(1, p):
         outcome = decide(ResidueClass(m, n0, p), collect_evidence=False)
@@ -111,8 +128,7 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
     forbids one is reported as a discrepancy with its verified witness;
     for m = 4 that can never happen and the audit asserts it.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    _check_bound(bound, 2)
     instances = []
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
@@ -150,8 +166,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
     its verified solutions; for m = 4 the exclusion follows from condition
     i) and every instance comes out consistent.
     """
-    if bound < 5:
-        raise ValueError(f"bound must be >= 5, got {bound}")
+    _check_bound(bound, 5)
     instances = []
     for p in primes_up_to(bound):
         if p % 4 != 1 or gcd(p, m) != 1:
@@ -184,8 +199,7 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
     (m, p + 1, p); a solvable outcome would be a discrepancy carrying its
     verified witness.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    _check_bound(bound, 2)
     instances = []
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:

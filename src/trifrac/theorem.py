@@ -20,7 +20,7 @@ Conditions i) and ii) are cheap to search (divisor enumeration plus a linear
 congruence).  ``decide`` routes through the finite base-solution oracle:
 every admissible parameter set corresponds to a role assignment
 (x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of a positive triple solving the
-lambda = 0 instance, so scanning those triples yields a complete,
+lambda = 0 instance, so scanning the triples through k*n0 yields a complete,
 certifiable answer.  ``search_condition_iii`` walks the condition-ii family
 up to a bound on t, visiting only the divisors of (k*l)^2, as a cross-check.
 
@@ -281,8 +281,9 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
 def decide(rc: ResidueClass, collect_evidence: bool = True) -> DecisionOutcome:
     """Complete decision for the residue class.
 
-    For each (k, l) from condition i) and each base triple of m/n0 under
-    each role assignment (x0, y0, z0): accept when x0 = k*n0, n0 | y0,
+    For each (k, l) from condition i), each base triple of m/n0 through
+    k*n0 (a divisor walk, never a listing of every triple) and each of its
+    role assignments (x0, y0, z0): accept when x0 = k*n0, n0 | y0,
     r = (s*n1 - k*l)/n0 is a positive integer for s = y0/n0, and
     r*z0 = k*l*s.  Accepted parameter sets are exactly those satisfying
     i)-iii), so an empty sweep certifies unsolvability.
@@ -297,9 +298,7 @@ def decide(rc: ResidueClass, collect_evidence: bool = True) -> DecisionOutcome:
         # Track the furthest stage reached for this (k, l), for evidence.
         stage = 0
         accepted_here = False
-        for bt in enumerate_base_solutions(rc.m, rc.n0):
-            if not bt.contains(k * rc.n0):
-                continue
+        for bt in enumerate_base_solutions(rc.m, rc.n0, k * rc.n0):
             for x0, y0, z0 in bt.role_assignments():
                 if x0 != k * rc.n0:
                     continue

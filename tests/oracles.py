@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from trifrac.base_solutions import BaseTriple
 from trifrac.qpoly import RationalPoly
 from trifrac.theorem import ParamFamily, ParamSet, PolyTriple, ResidueClass
 
@@ -35,6 +36,23 @@ def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
         if rc.m * x * y * z != (rc.n0 + rc.n1 * lam) * (x * y + x * z + y * z):
             return False
     return True
+
+
+def base_triples_oracle(m: int, n0: int) -> tuple[BaseTriple, ...]:
+    """All {a <= b <= c} with 1/a + 1/b + 1/c = m/n0, ascending, by a double loop.
+
+    a ranges over n0/m < a <= 3*n0/m; the remainder p/q after 1/a bounds b
+    by q/p < b <= 2*q/p (b <= c), and c is forced.  O(n0^2) work.
+    """
+    out = []
+    for a in range(n0 // m + 1, 3 * n0 // m + 1):
+        p = m * a - n0
+        q = n0 * a
+        for b in range(max(a, q // p + 1), 2 * q // p + 1):
+            den = p * b - q
+            if (q * b) % den == 0:
+                out.append(BaseTriple(a, b, q * b // den))
+    return tuple(sorted(out))
 
 
 def trial_divisors(n: int) -> list[int]:

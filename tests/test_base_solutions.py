@@ -3,8 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import base_triples_oracle
 from trifrac.base_solutions import BaseTriple, enumerate_base_solutions, triples_with_member
+
+
+def unit_sum(t: BaseTriple) -> Fraction:
+    return Fraction(1, t.a) + Fraction(1, t.b) + Fraction(1, t.c)
 
 
 def naive_bounded_triples(m: int, n0: int) -> set[tuple[int, int, int]]:
@@ -51,6 +58,8 @@ def test_triples_with_member():
     assert triples_with_member(5, 7, 1) == ()
     with pytest.raises(ValueError):
         triples_with_member(5, 7, 0)
+    with pytest.raises(ValueError):
+        enumerate_base_solutions(5, 7, -3)
 
 
 def test_soundness_exact_unit_sums():
@@ -58,7 +67,7 @@ def test_soundness_exact_unit_sums():
         for n0 in range(1, 31):
             for t in enumerate_base_solutions(m, n0):
                 assert t.a <= t.b <= t.c
-                assert t.unit_sum() == Fraction(m, n0)
+                assert unit_sum(t) == Fraction(m, n0)
 
 
 def test_completeness_against_naive_triple_loop():
@@ -80,3 +89,40 @@ def test_role_assignments_distinct_orderings():
     # repeated members collapse duplicate orderings
     assert len(set(BaseTriple(3, 3, 21).role_assignments())) == 3
     assert len(set(BaseTriple(3, 3, 3).role_assignments())) == 1
+
+
+@st.composite
+def _instance_and_member(draw):
+    m = draw(st.integers(1, 12))
+    n0 = draw(st.integers(1, 300))
+    member = draw(st.one_of(
+        st.just(1),
+        st.just(n0),
+        st.integers(2, 40).map(lambda k: k * n0),
+        st.integers(1, 10**7),
+    ))
+    return m, n0, member
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instance_and_member())
+def test_divisor_walk_matches_double_loop_oracle(case):
+    m, n0, member = case
+    expected = base_triples_oracle(m, n0)
+    assert enumerate_base_solutions(m, n0) == expected
+    assert enumerate_base_solutions(m, n0, member) == tuple(t for t in expected if member in t)
+
+
+def test_member_walk_finds_every_member_of_every_triple():
+    for m in (4, 5, 7):
+        for n0 in range(1, 61):
+            triples = base_triples_oracle(m, n0)
+            for u in {x for t in triples for x in t}:
+                assert enumerate_base_solutions(m, n0, u) == tuple(t for t in triples if u in t)
+
+
+def test_member_walk_factors_only_the_part_coprime_to_n0():
+    # k*n0 here is about 4.3e37, beyond the factoring limit, but its part
+    # coprime to n0 = 2^61 - 1 is 2^64 + 1 = 274177 * 67280421310721.
+    n0 = 2**61 - 1
+    assert enumerate_base_solutions(5, n0, (2**64 + 1) * n0) == ()

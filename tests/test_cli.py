@@ -6,12 +6,14 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main
+from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
+from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
 
@@ -78,6 +80,29 @@ def test_decide_rejects_modulus_beyond_factoring_limit(capsys):
     assert err.startswith("error: factorize requires n <") and len(err.splitlines()) == 1
 
 
+def test_decide_large_residue_finishes_unsolvable(capsys):
+    # condition i admits (k, l) = (200000002, 1): only triples through
+    # x0 = k*n0 are walked, never all base triples of 5/1000001
+    code, out, _ = run(capsys, ["decide", "--m", "5", "--n0", "1000001",
+                                "--n1", "1000000009", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "unsolvable"
+    (ev,) = payload["evidence"]
+    assert (ev["k"], ev["l"]) == ("200000002", "1")
+    assert ev["reason"] == "no qualifying base triple"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--m", "5", "--n0", str(FACTOR_LIMIT), "--n1", "9"],
+    ["base", "--m", "5", "--n0", str(FACTOR_LIMIT)],
+])
+def test_residue_beyond_factoring_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: factorize requires n <") and len(err.splitlines()) == 1
+
+
 def test_decide_csv(capsys):
     code, out, _ = run(capsys, GOLDEN + ["--format", "csv"])
     assert code == 0
@@ -109,6 +134,32 @@ def test_scan_json_and_parallel_determinism(capsys):
         code, out, err = run(capsys, ["scan", "--m", "5", "--n1", "9", "--jobs", jobs])
         assert code == 2 and out == ""
         assert "--jobs must be >= 1" in err
+
+
+@pytest.mark.parametrize("n1", ["1000000000007", str(MAX_SCAN_MODULUS + 1)])
+def test_full_scan_beyond_limit_exits_2(capsys, n1):
+    # rejected before the residue list is built, so this needs no memory cap
+    code, out, err = run(capsys, ["scan", "--m", "5", "--n1", n1, "--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: a full scan needs n1 <= {MAX_SCAN_MODULUS}")
+    assert len(err.splitlines()) == 1
+
+
+def test_scan_residue_subset_of_huge_modulus(capsys):
+    code, out, _ = run(capsys, ["scan", "--m", "5", "--n1", "1000000000007",
+                                "--residues", "2,1", "--format", "json"])
+    assert code == 0
+    assert [row["n0"] for row in json.loads(out)["rows"]] == ["1", "2"]
+
+
+@pytest.mark.parametrize("corollary", ["3", "i", "4"])
+@pytest.mark.parametrize("bound", ["1000000000000", str(MAX_AUDIT_BOUND + 1)])
+def test_audit_bound_beyond_limit_exits_2(capsys, corollary, bound):
+    # rejected before the prime sieve is allocated
+    code, out, err = run(capsys, ["audit", "--corollary", corollary, "--m", "5",
+                                  "--bound", bound, "--format", "json"])
+    assert code == 2 and out == ""
+    assert err == f"error: bound must be <= {MAX_AUDIT_BOUND}, got {bound}\n"
 
 
 def test_scan_residue_subset(capsys):
@@ -317,3 +368,55 @@ def test_cli_fuzz_exit_codes(argv, fmt):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+_COEFF = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(0, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.text(alphabet="0123456789/-+.eE _\n٧", max_size=12),
+    st.text(max_size=8),
+    st.integers(995, 1005).map(lambda n: "7" * n),
+    st.integers() | st.floats() | st.booleans() | st.none() | st.just([]) | st.just({}),
+)
+_POLY = st.one_of(
+    st.lists(_COEFF, max_size=5),
+    st.sampled_from([["14", "18"], ["7", "16", "9"], ["2", "2"]]),
+    st.just(["1"] * (MAX_COEFFS + 1)),
+    st.text(max_size=5) | st.integers() | st.none()
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_FIELDS = st.dictionaries(st.sampled_from(["x", "y", "z", "w"]), _POLY, max_size=4)
+
+
+def _nested(depth: int) -> str:
+    return '{"x": ' + "[" * depth + "]" * depth + ', "y": ["1"], "z": ["1"]}'
+
+
+_SOLUTION = {"x": ["14", "18"], "y": ["7", "16", "9"], "z": ["2", "2"]}
+_PAYLOAD = st.one_of(
+    st.permutations(list(_SOLUTION.values())).map(lambda p: json.dumps(dict(zip("xyz", p)))),
+    st.tuples(st.sampled_from("xyz"), _POLY).map(lambda f: json.dumps({**_SOLUTION, f[0]: f[1]})),
+    _FIELDS.map(json.dumps),
+    st.fixed_dictionaries({"x": _POLY, "y": _POLY, "z": _POLY}).map(json.dumps),
+    (st.integers() | st.text(max_size=5) | st.lists(st.integers(), max_size=3)
+     | st.none() | st.booleans()).map(json.dumps),
+    st.integers(1, 100_000).map(lambda d: "[" * d + "]" * d),
+    st.integers(1, 100_000).map(_nested),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_PAYLOAD, st.sampled_from(["text", "json", "csv"]))
+def test_verify_fuzz_payloads(tmp_path_factory, payload, fmt):
+    triple_file = tmp_path_factory.mktemp("verify") / "triple.json"
+    triple_file.write_text(payload, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--m", "5", "--n0", "7", "--n1", "9",
+                     "--file", str(triple_file), "--format", fmt])
+    assert code in (0, 2, 3), (payload[:200], err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1

@@ -1,0 +1,67 @@
+"""Byte-for-byte CLI transcripts.
+
+``tests/golden/manifest.json`` maps each case name to its argv and exit
+code; ``tests/golden/<name>.out`` holds its exact stdout.  Any change to
+rendering, solution order or evidence strings fails here.  Regenerate only
+when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from trifrac.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {}
+for _m, _n0, _n1 in ((5, 7, 9), (5, 7, 19), (5, 23, 29)):
+    for _fmt in ("json", "text", "csv"):
+        CASES[f"decide-{_m}-{_n0}-{_n1}-{_fmt}"] = [
+            "decide", "--m", str(_m), "--n0", str(_n0), "--n1", str(_n1), "--format", _fmt]
+for _m, _n1 in ((5, 29), (7, 55)):
+    for _fmt in ("json", "text", "csv"):
+        CASES[f"scan-{_m}-{_n1}-{_fmt}"] = [
+            "scan", "--m", str(_m), "--n1", str(_n1), "--format", _fmt]
+CASES["base-5-7-text"] = ["base", "--m", "5", "--n0", "7"]
+CASES["audit-3-5-60-json"] = ["audit", "--corollary", "3", "--m", "5", "--bound", "60",
+                              "--format", "json"]
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _manifest() -> dict:
+    return json.loads((GOLDEN_DIR / "manifest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_transcript_matches_golden(name):
+    case = _manifest()[name]
+    assert case["argv"] == CASES[name]
+    code, out, err = run_cli(case["argv"])
+    assert code == case["exit"]
+    assert err == ""
+    assert out == (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    manifest = {}
+    for name, argv in CASES.items():
+        code, out, _ = run_cli(argv)
+        manifest[name] = {"argv": argv, "exit": code}
+        (GOLDEN_DIR / f"{name}.out").write_bytes(out.encode("utf-8"))
+    (GOLDEN_DIR / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
