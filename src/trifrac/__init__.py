@@ -1,6 +1,6 @@
 """trifrac: integer polynomial solutions of m/(n0 + n1*t) = 1/x + 1/y + 1/z."""
 
-from .base_solutions import BaseTriple, enumerate_base_solutions, triples_with_member
+from .base_solutions import BaseTriple, enumerate_base_solutions
 from .families import (
     DiscriminantReport,
     FamilySolution,
@@ -79,6 +79,5 @@ __all__ = [
     "scan_residues",
     "search_condition_iii",
     "solve_condition_ii",
-    "triples_with_member",
     "verify_identity",
 ]

@@ -113,7 +113,7 @@ def _check_bound(bound: int, least: int) -> None:
 
 def _first_solvable(m: int, p: int) -> DecisionOutcome | None:
     for n0 in range(1, p):
-        outcome = decide(ResidueClass(m, n0, p), collect_evidence=False)
+        outcome = decide(ResidueClass(m, n0, p))
         if outcome.is_solvable():
             return outcome
     return None

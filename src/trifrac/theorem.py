@@ -21,8 +21,12 @@ congruence).  ``decide`` routes through the finite base-solution oracle:
 every admissible parameter set corresponds to a role assignment
 (x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of a positive triple solving the
 lambda = 0 instance, so scanning the triples through k*n0 yields a complete,
-certifiable answer.  ``search_condition_iii`` walks the condition-ii family
-up to a bound on t, visiting only the divisors of (k*l)^2, as a cross-check.
+certifiable answer.  Conditions i) and ii) already force that z0, so iii)
+needs no test of its own, and a failed (k, l) has one of two reasons: no
+triple member s*n0 (no qualifying base triple), or none with a positive
+integer r (no condition-ii positivity).  ``search_condition_iii`` walks the
+condition-ii family up to a bound on t, visiting only the divisors of
+(k*l)^2, as a cross-check.
 
 ``identity_residual`` is the one identity check, in exact integer
 arithmetic; independent verification routes live in the tests.
@@ -126,10 +130,6 @@ class ParamFamily:
     r0: int
     step: tuple[int, int]
 
-    def at(self, t: int) -> tuple[int, int]:
-        n0, n1 = self.step
-        return self.s0 + n0 * t, self.r0 + n1 * t
-
     def describe(self) -> str:
         n0, n1 = self.step
         return f"s = {self.s0} + {n0}t, r = {self.r0} + {n1}t"
@@ -168,7 +168,6 @@ class DecisionOutcome:
 
 REASON_NO_BASE_TRIPLE = "no qualifying base triple"
 REASON_CONDITION_II = "no condition-ii positivity"
-REASON_CONDITION_III = "condition-iii failure over the searched family"
 
 
 def enumerate_kl(m: int, n1: int) -> list[tuple[int, int]]:
@@ -278,57 +277,47 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
             and pt.z.is_positive_integral() and identity_residual(rc, pt).is_zero())
 
 
-def decide(rc: ResidueClass, collect_evidence: bool = True) -> DecisionOutcome:
+def decide(rc: ResidueClass) -> DecisionOutcome:
     """Complete decision for the residue class.
 
-    For each (k, l) from condition i), each base triple of m/n0 through
-    k*n0 (a divisor walk, never a listing of every triple) and each of its
-    role assignments (x0, y0, z0): accept when x0 = k*n0, n0 | y0,
-    r = (s*n1 - k*l)/n0 is a positive integer for s = y0/n0, and
-    r*z0 = k*l*s.  Accepted parameter sets are exactly those satisfying
-    i)-iii), so an empty sweep certifies unsolvability.
+    For each (k, l) from condition i), walk the base triples of m/n0 through
+    x0 = k*n0 (a divisor walk) and try each other member y0, ascending and
+    once: accept when n0 | y0 and r = (s*n1 - k*l)/n0 is a positive integer
+    for s = y0/n0.  Condition iii) then holds by itself: the third member is
+    z0 = k*s*n0/((m*k - 1)*s - k), and i) turns ii) into
+    (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The accepted sets are thus
+    exactly those satisfying i)-iii), an empty sweep certifies
+    unsolvability, and no two share a triple.  A failed (k, l) reports
+    REASON_CONDITION_II when some y0 was divisible by n0, else
+    REASON_NO_BASE_TRIPLE.
     """
+    n0 = rc.n0
     kl_pairs = enumerate_kl(rc.m, rc.n1)
     solutions: list[tuple[ParamSet, PolyTriple]] = []
-    seen_triples: set[PolyTriple] = set()
     evidence: list[KlEvidence] = []
 
     for k, l in kl_pairs:
-        fam = solve_condition_ii(rc, k, l)
-        # Track the furthest stage reached for this (k, l), for evidence.
-        stage = 0
-        accepted_here = False
-        for bt in enumerate_base_solutions(rc.m, rc.n0, k * rc.n0):
-            for x0, y0, z0 in bt.role_assignments():
-                if x0 != k * rc.n0:
+        found = len(solutions)
+        divisible = False
+        for bt in enumerate_base_solutions(rc.m, n0, k * n0):
+            rest = list(bt)
+            rest.remove(k * n0)
+            for y0 in dict.fromkeys(rest):
+                s, off = divmod(y0, n0)
+                if off:
                     continue
-                if y0 % rc.n0 != 0:
+                divisible = True
+                r, off = divmod(s * rc.n1 - k * l, n0)
+                if off or r < 1:
                     continue
-                stage = max(stage, 1)
-                s = y0 // rc.n0
-                num = s * rc.n1 - k * l
-                if num <= 0 or num % rc.n0 != 0:
-                    continue
-                stage = max(stage, 2)
-                r = num // rc.n0
-                if r * z0 != k * l * s:
-                    continue
-                stage = max(stage, 3)
                 ps = ParamSet(k=k, l=l, s=s, r=r)
                 pt = construct_solution(rc, ps)
                 if not verify_identity(rc, pt):
                     raise AssertionError(f"accepted parameter set {ps} failed verification")
-                if pt not in seen_triples:
-                    seen_triples.add(pt)
-                    solutions.append((ps, pt))
-                accepted_here = True
-        if collect_evidence and not accepted_here:
-            if stage >= 2:
-                reason = REASON_CONDITION_III
-            elif stage == 1:
-                reason = REASON_CONDITION_II
-            else:
-                reason = REASON_NO_BASE_TRIPLE
+                solutions.append((ps, pt))
+        if len(solutions) == found:
+            fam = solve_condition_ii(rc, k, l)
+            reason = REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE
             evidence.append(
                 KlEvidence(k=k, l=l, s0=fam.s0, r0=fam.r0, family=fam.describe(), reason=reason)
             )

@@ -79,13 +79,19 @@ def is_quadratic_residue(a: int, n: int) -> bool:
     return any(w * w % n == target for w in range(n))
 
 
+def family_at(fam: ParamFamily, t: int) -> tuple[int, int]:
+    """The point (s, r) = (s0 + n0*t, r0 + n1*t) of a condition-ii family."""
+    n0, n1 = fam.step
+    return fam.s0 + n0 * t, fam.r0 + n1 * t
+
+
 def enumerate_condition_iii(fam: ParamFamily, t_max: int) -> list[ParamSet]:
     """All parameter sets on the family with t in [0, t_max], s, r >= 1 and r | s*k*l."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     out = []
     for t in range(t_max + 1):
-        s, r = fam.at(t)
+        s, r = family_at(fam, t)
         if s < 1 or r < 1:
             continue
         if (s * fam.k * fam.l) % r == 0:

@@ -7,7 +7,7 @@ import json
 
 from acceptance_report import criterion
 from oracles import enumerate_condition_iii, identity_holds
-from trifrac.base_solutions import enumerate_base_solutions, triples_with_member
+from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main as cli_main
 from trifrac.families import RoleTriple, discriminant_identity, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
@@ -52,7 +52,7 @@ def test_criterion_2_golden_7_mod_19():
         assert (fam.s0, fam.r0) == (5, 13)
         assert fam.step == (7, 19)
         assert search_condition_iii(fam, 10_000) is None
-        assert triples_with_member(5, 7, 28) == ()
+        assert enumerate_base_solutions(5, 7, 28) == ()
 
 
 def test_criterion_3_residue_1_mod_p_unsolvable():

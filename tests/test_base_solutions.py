@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import base_triples_oracle
-from trifrac.base_solutions import BaseTriple, enumerate_base_solutions, triples_with_member
+from trifrac.base_solutions import BaseTriple, enumerate_base_solutions
 
 
 def unit_sum(t: BaseTriple) -> Fraction:
@@ -53,11 +53,11 @@ def test_enumerate_rejects_nonpositive():
 
 
 def test_triples_with_member():
-    assert triples_with_member(5, 7, 28) == ()
-    assert triples_with_member(5, 7, 14) == (BaseTriple(2, 7, 14),)
-    assert triples_with_member(5, 7, 1) == ()
+    assert enumerate_base_solutions(5, 7, 28) == ()
+    assert enumerate_base_solutions(5, 7, 14) == (BaseTriple(2, 7, 14),)
+    assert enumerate_base_solutions(5, 7, 1) == ()
     with pytest.raises(ValueError):
-        triples_with_member(5, 7, 0)
+        enumerate_base_solutions(5, 7, 0)
     with pytest.raises(ValueError):
         enumerate_base_solutions(5, 7, -3)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trifrac.base_solutions import enumerate_base_solutions
+from trifrac.base_solutions import MAX_BASE_WALKS, enumerate_base_solutions
 from trifrac.cli import main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
@@ -119,6 +119,22 @@ def test_base_command(capsys):
     payload = json.loads(out)
     assert ["2", "7", "14"] in payload["triples"]
     assert len(payload["triples"]) == 4
+
+
+@pytest.mark.parametrize("m, n0", [(1, 100003), (1, 10**12), (2, MAX_BASE_WALKS + 1)])
+def test_base_beyond_walk_limit_exits_2(capsys, m, n0):
+    # rejected before the first walk: 1/100003 alone would walk 200006 members
+    code, out, err = run(capsys, ["base", "--m", str(m), "--n0", str(n0)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: enumerating every triple of {m}/{n0} walks")
+    assert err.endswith(f"more than {MAX_BASE_WALKS}\n") and len(err.splitlines()) == 1
+
+
+def test_base_at_walk_limit_runs(capsys):
+    # 2/n0 walks exactly n0 smallest members
+    code, out, _ = run(capsys, ["base", "--m", "2", "--n0", str(MAX_BASE_WALKS)])
+    assert code == 0
+    assert out.startswith(f"2/{MAX_BASE_WALKS} = 1/a + 1/b + 1/c : ")
 
 
 def test_scan_json_and_parallel_determinism(capsys):

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_condition_iii, identity_holds, is_quadratic_residue
+from oracles import (
+    base_triples_oracle,
+    enumerate_condition_iii,
+    family_at,
+    identity_holds,
+    is_quadratic_residue,
+)
 
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.intmath import gcd
@@ -111,7 +117,7 @@ def test_solve_condition_ii_family_invariants():
             assert 1 <= fam.s0 <= rc.n0
             assert fam.s0 * rc.n1 == k * l + fam.r0 * rc.n0
             for t in range(5):
-                s, r = fam.at(t)
+                s, r = family_at(fam, t)
                 assert s * rc.n1 == k * l + r * rc.n0
             # the line is complete: s solves the congruence iff it sits on it
             for s in range(1, 60):
@@ -268,6 +274,35 @@ def test_decide_7_mod_19_unsolvable_with_evidence():
     assert ev.reason == "no qualifying base triple"
 
 
+def test_decide_evidence_reasons_match_base_triple_oracle(full_grid):
+    # the reason is "no condition-ii positivity" exactly when some triple
+    # through k*n0 has another member divisible by n0
+    triples = {}
+    reasons = {}
+    for rc in full_grid:
+        out = decide(rc)
+        if out.is_solvable():
+            assert out.evidence == ()
+            continue
+        assert [(ev.k, ev.l) for ev in out.evidence] == list(out.kl_pairs)
+        key = (rc.m, rc.n0)
+        if key not in triples:
+            triples[key] = base_triples_oracle(*key)
+        for ev in out.evidence:
+            x0 = ev.k * rc.n0
+            divisible = False
+            for bt in triples[key]:
+                if x0 in bt:
+                    rest = list(bt)
+                    rest.remove(x0)
+                    divisible = divisible or any(y0 % rc.n0 == 0 for y0 in rest)
+            expected = "no condition-ii positivity" if divisible else "no qualifying base triple"
+            assert ev.reason == expected, (rc, ev)
+            reasons[rc, ev.k, ev.l] = ev.reason
+    assert set(reasons.values()) == {"no condition-ii positivity", "no qualifying base triple"}
+    assert reasons[ResidueClass(4, 4, 9), 1, 3] == "no condition-ii positivity"
+
+
 def test_decide_1_mod_19_unsolvable():
     out = decide(ResidueClass(5, 1, 19))
     assert out.status == "unsolvable"
@@ -320,7 +355,7 @@ def test_decide_agrees_with_family_search(small_grid):
             fam = solve_condition_ii(rc, ps.k, ps.l)
             t, rem = divmod(ps.s - fam.s0, rc.n0)
             assert rem == 0 and t >= 0
-            assert fam.at(t) == (ps.s, ps.r)
+            assert family_at(fam, t) == (ps.s, ps.r)
 
 
 # ------------------------------------------------------------ degrees
