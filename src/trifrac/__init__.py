@@ -30,7 +30,6 @@ from .theorem import (
     PolyTriple,
     ResidueClass,
     analyze_degrees,
-    canonicalize,
     construct_solution,
     decide,
     enumerate_kl,
@@ -63,7 +62,6 @@ __all__ = [
     "audit_condition_i",
     "audit_corollary3",
     "audit_corollary4",
-    "canonicalize",
     "construct_solution",
     "decide",
     "discriminant_identity",

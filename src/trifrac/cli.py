@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -142,15 +142,18 @@ def _emit_csv(rows: list[dict], stream) -> None:
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _emit_csv(csv_rows, buf)
-        sys.stdout.write(buf.getvalue())
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif args.format == "csv":
+            _emit_csv(csv_rows, sys.stdout)
+        else:
+            print("\n".join(text_lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early; that is not an error.  What is
+        # still buffered goes to devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------- commands

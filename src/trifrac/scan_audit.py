@@ -1,6 +1,10 @@
 """Residue sweeps over a modulus and empirical audits of the equation's
 exclusion rules, all driven by the complete decision procedure.
 
+Condition i) depends on the modulus alone, so the audits sweep a prime's
+residues only when ``enumerate_kl`` admits some (k, l): with none, ``decide``
+would call every residue unsolvable from that same empty list.
+
 The audits deliberately report rather than assert for m != 4: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are
 excluded" readings are specializations of condition i) to m = 4, and for
@@ -14,18 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intmath import gcd, primes_up_to
-from .theorem import (
-    DecisionOutcome,
-    ResidueClass,
-    canonicalize,
-    decide,
-    enumerate_kl,
-)
+from .theorem import DecisionOutcome, ResidueClass, decide, enumerate_kl
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
 # full JSON scan of m = 4, n1 = 49999 takes 21 s at 330 MB; at bound 10000,
-# audit corollary 3 (m = 5) takes 145 s and condition i (m = 4) 133 s, < 100 MB.
+# audit corollary 3 (m = 5) takes 157 s and condition i (m = 4) 107 s, < 100 MB.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
@@ -111,22 +109,24 @@ def _check_bound(bound: int, least: int) -> None:
         raise ValueError(f"bound must be <= {MAX_AUDIT_BOUND}, got {bound}")
 
 
-def _first_solvable(m: int, p: int) -> DecisionOutcome | None:
-    for n0 in range(1, p):
-        outcome = decide(ResidueClass(m, n0, p))
-        if outcome.is_solvable():
-            return outcome
-    return None
+def _solvable_residues(m: int, p: int, kl: list[tuple[int, int]]):
+    """Solvable outcomes of p's residues, ascending in n0; none if kl is empty."""
+    if kl:
+        for n0 in range(1, p):
+            outcome = decide(ResidueClass(m, n0, p))
+            if outcome.is_solvable():
+                yield outcome
 
 
 def audit_condition_i(m: int, bound: int) -> AuditReport:
     """Check prime moduli against the "modulus must be l*(m*k - 1)" rule.
 
     For each prime p <= bound coprime to m: record whether condition i)
-    admits any (k, l), and cross-check by scanning residues for a solvable
-    one.  A solvable residue where the m = 4 reading (p of the form 4k - 1)
-    forbids one is reported as a discrepancy with its verified witness;
-    for m = 4 that can never happen and the audit asserts it.
+    admits any (k, l) and, if it does, decide residues in ascending order
+    up to the first solvable one.  A solvable residue where the m = 4
+    reading (p of the form 4k - 1) forbids one is reported as a discrepancy
+    with its verified witness; for m = 4 that can never happen and the
+    audit asserts it.
     """
     _check_bound(bound, 2)
     instances = []
@@ -134,8 +134,8 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
         if gcd(p, m) != 1:
             continue
         kl = enumerate_kl(m, p)
-        solvable = _first_solvable(m, p)
-        if m == 4 and p % 4 == 1 and (kl or solvable):
+        solvable = next(_solvable_residues(m, p, kl), None)
+        if m == 4 and p % 4 == 1 and kl:
             raise AssertionError(f"m = 4, p = {p} = 1 (mod 4) admitted (k, l) = {kl}")
         form_4k_minus_1 = p % 4 == 3
         if solvable and not form_4k_minus_1:
@@ -161,10 +161,11 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
 def audit_corollary3(m: int, bound: int) -> AuditReport:
     """Probe the "no prime modulus = 1 (mod 4)" exclusion over all residues.
 
-    Scans every residue of every prime p = 1 (mod 4) with p <= bound and
-    gcd(p, m) = 1.  Any solvable residue is a discrepancy and ships with
-    its verified solutions; for m = 4 the exclusion follows from condition
-    i) and every instance comes out consistent.
+    Decides every residue of every prime p = 1 (mod 4) with p <= bound and
+    gcd(p, m) = 1 whose condition i) admits some (k, l).  Any solvable
+    residue is a discrepancy and ships with its verified solutions; for
+    m = 4 the exclusion follows from condition i) and every instance comes
+    out consistent.
     """
     _check_bound(bound, 5)
     instances = []
@@ -172,10 +173,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
         if p % 4 != 1 or gcd(p, m) != 1:
             continue
         kl = enumerate_kl(m, p)
-        witnesses = []
-        if kl:
-            report = scan_residues(m, p)
-            witnesses = [row.outcome for row in report.rows if row.outcome.is_solvable()]
+        witnesses = list(_solvable_residues(m, p, kl))
         if witnesses:
             residues = [w.rc.n0 for w in witnesses]
             instances.append(AuditInstance(
@@ -195,9 +193,10 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
 def audit_corollary4(m: int, bound: int) -> AuditReport:
     """Check that n = 1 (mod p) is unsolvable for every prime p coprime to m.
 
-    Runs ``decide`` on both representatives (m, 1, p) and the canonicalized
-    (m, p + 1, p); a solvable outcome would be a discrepancy carrying its
-    verified witness.
+    Decides two classes of n = 1 (mod p): (m, 1, p) and the paper's
+    n = a*lambda + b with b = a + 1, a = p, i.e. (m, p + 1, p), a different
+    polynomial n(lambda).  A solvable outcome would be a discrepancy
+    carrying its verified witness.
     """
     _check_bound(bound, 2)
     instances = []
@@ -205,7 +204,7 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
         if gcd(p, m) != 1:
             continue
         direct = decide(ResidueClass(m, 1, p))
-        shifted = decide(canonicalize(m, p + 1, p))
+        shifted = decide(ResidueClass(m, p + 1, p))
         solvable = [o for o in (direct, shifted) if o.is_solvable()]
         if solvable:
             instances.append(AuditInstance(

@@ -70,20 +70,6 @@ class ResidueClass:
         return linear(self.n0, self.n1)
 
 
-def canonicalize(m: int, n0: int, n1: int) -> ResidueClass:
-    """Reduce n0 into [1, n1) and build the residue class.
-
-    Callers may describe the class by any representative (n = 20 mod 19 is
-    the class of n = 1 mod 19); the canonical form keeps 1 <= n0 < n1.
-    """
-    if n1 < 2:
-        raise ValueError(f"n1 must be >= 2, got {n1}")
-    r = n0 % n1
-    if r < 1:
-        raise ValueError(f"n0 = {n0} reduces to 0 mod n1 = {n1}; gcd(n0, n1) > 1")
-    return ResidueClass(m, r, n1)
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """A full parameter set (k, l, s, r), all positive."""

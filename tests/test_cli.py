@@ -4,6 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -330,6 +334,32 @@ def test_verify_json_payload_degrees(capsys, tmp_path):
     assert payload["verified"] is True
     assert payload["degree_pattern"] == ["1", "1", "2"]
     assert payload["aux_degree"] == "1"
+
+
+def test_verify_missing_file_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["verify", "--m", "5", "--n0", "7", "--n1", "9",
+                                  "--file", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["scan", "--m", "4", "--n1", "2003", "--format", "json"], 0),
+    (["audit", "--corollary", "3", "--m", "5", "--bound", "700", "--format", "json"], 3),
+])
+def test_closed_pipe_keeps_exit_code(argv, want):
+    # the reader takes the first line of a long output and closes the pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "trifrac", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == want
+    assert err == b""
 
 
 def test_unknown_subcommand_exits_2(capsys):

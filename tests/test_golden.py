@@ -33,6 +33,10 @@ for _m, _n1 in ((5, 29), (7, 55)):
 CASES["base-5-7-text"] = ["base", "--m", "5", "--n0", "7"]
 CASES["audit-3-5-60-json"] = ["audit", "--corollary", "3", "--m", "5", "--bound", "60",
                               "--format", "json"]
+CASES["audit-i-5-60-json"] = ["audit", "--corollary", "i", "--m", "5", "--bound", "60",
+                              "--format", "json"]
+CASES["audit-4-5-60-text"] = ["audit", "--corollary", "4", "--m", "5", "--bound", "60",
+                              "--format", "text"]
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

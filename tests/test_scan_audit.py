@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from trifrac import scan_audit
 from trifrac.intmath import gcd
 from trifrac.scan_audit import (
     audit_condition_i,
@@ -56,6 +57,36 @@ def test_audit_condition_i_m4():
             assert inst.witnesses == ()
         else:
             assert inst.kl_pairs != ()
+
+
+def _record_decided(monkeypatch) -> list[ResidueClass]:
+    decided = []
+
+    def recording(rc):
+        decided.append(rc)
+        return decide(rc)
+
+    monkeypatch.setattr(scan_audit, "decide", recording)
+    return decided
+
+
+def test_audit_condition_i_skips_primes_without_kl(monkeypatch):
+    decided = _record_decided(monkeypatch)
+    report = audit_condition_i(4, 100)
+    assert not report.has_discrepancy
+    assert decided
+    assert all(rc.n1 % 4 == 3 for rc in decided)
+
+
+def test_audit_corollary4_decides_both_classes_once(monkeypatch):
+    decided = _record_decided(monkeypatch)
+    report = audit_corollary4(5, 30)
+    assert len(decided) == len(set(decided))
+    for inst in report.instances:
+        p = inst.prime
+        assert ResidueClass(5, 1, p) in decided
+        assert ResidueClass(5, p + 1, p) in decided
+    assert len(decided) == 2 * len(report.instances)
 
 
 def test_audit_condition_i_m5_records_kl():

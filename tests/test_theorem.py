@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from trifrac.base_solutions import enumerate_base_solutions
-from trifrac.intmath import gcd
+from trifrac.intmath import gcd, primes_up_to
 from trifrac.qpoly import RationalPoly, linear
 from trifrac.theorem import (
     ParamFamily,
@@ -22,7 +22,6 @@ from trifrac.theorem import (
     PolyTriple,
     ResidueClass,
     analyze_degrees,
-    canonicalize,
     construct_solution,
     decide,
     enumerate_kl,
@@ -49,13 +48,6 @@ def test_residue_class_validation_messages():
         ResidueClass(5, 6, 9)
     with pytest.raises(ValueError, match="gcd\\(n1, m\\)"):
         ResidueClass(4, 7, 10)
-
-
-def test_canonicalize_reduces_residue():
-    assert canonicalize(5, 20, 19) == ResidueClass(5, 1, 19)
-    assert canonicalize(5, 7, 9) == GOLDEN_RC
-    with pytest.raises(ValueError, match="reduces to 0"):
-        canonicalize(5, 38, 19)
 
 
 # ------------------------------------------------------------ condition i
@@ -276,10 +268,13 @@ def test_decide_7_mod_19_unsolvable_with_evidence():
 
 def test_decide_evidence_reasons_match_base_triple_oracle(full_grid):
     # the reason is "no condition-ii positivity" exactly when some triple
-    # through k*n0 has another member divisible by n0
+    # through k*n0 has another member divisible by n0; the classes
+    # (m, p + 1, p) of the corollary-4 audit add residues n0 > n1
+    shifted = [ResidueClass(m, p + 1, p) for m in range(4, 9) for p in primes_up_to(60)
+               if gcd(m, p) == 1]
     triples = {}
     reasons = {}
-    for rc in full_grid:
+    for rc in full_grid + shifted:
         out = decide(rc)
         if out.is_solvable():
             assert out.evidence == ()
