@@ -33,7 +33,7 @@ from .theorem import (
     construct_solution,
     decide,
     enumerate_kl,
-    identity_residual,
+    identity_holds,
     search_condition_iii,
     solve_condition_ii,
     verify_identity,
@@ -69,7 +69,7 @@ __all__ = [
     "enumerate_base_solutions",
     "enumerate_kl",
     "gcd",
-    "identity_residual",
+    "identity_holds",
     "linear",
     "minus_family",
     "plus_family",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -32,10 +33,9 @@ from .theorem import (
     ResidueClass,
     analyze_degrees,
     decide,
-    identity_residual,
+    identity_holds,
     search_condition_iii,
     solve_condition_ii,
-    verify_identity,
 )
 
 SCHEMA_VERSION = 1
@@ -48,10 +48,6 @@ EXIT_DISCREPANCY = 3
 
 
 # ---------------------------------------------------------------- payloads
-
-def _poly_json(p: RationalPoly) -> list[str]:
-    return p.to_coeff_strings()
-
 
 def _params_json(ps) -> dict:
     return {"k": str(ps.k), "l": str(ps.l), "s": str(ps.s), "r": str(ps.r)}
@@ -68,9 +64,9 @@ def _outcome_json(outcome: DecisionOutcome, t_max: int | None = None) -> dict:
         "solutions": [
             {
                 "params": _params_json(ps),
-                "x": _poly_json(pt.x),
-                "y": _poly_json(pt.y),
-                "z": _poly_json(pt.z),
+                "x": pt.x.to_coeff_strings(),
+                "y": pt.y.to_coeff_strings(),
+                "z": pt.z.to_coeff_strings(),
             }
             for ps, pt in outcome.solutions
         ],
@@ -131,11 +127,7 @@ def _poly_csv_row(tag: dict, name: str, p: RationalPoly) -> dict:
 
 
 def _emit_csv(rows: list[dict], stream) -> None:
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     writer = csv.DictWriter(stream, fieldnames=fields)
     writer.writeheader()
     writer.writerows(rows)
@@ -244,9 +236,9 @@ def cmd_family(args) -> int:
         "n1": str(rc.n1),
         "branch": fam.branch,
         "roles": {"x0": str(rt.x0), "y0": str(rt.y0), "z0": str(rt.z0)},
-        "x": _poly_json(pt.x),
-        "y": _poly_json(pt.y),
-        "z": _poly_json(pt.z),
+        "x": pt.x.to_coeff_strings(),
+        "y": pt.y.to_coeff_strings(),
+        "z": pt.z.to_coeff_strings(),
         "integral": fam.integral,
         "degenerate": fam.degenerate,
     }
@@ -328,9 +320,9 @@ def _load_triple(path: str) -> PolyTriple:
 def cmd_verify(args) -> int:
     rc = ResidueClass(args.m, args.n0, args.n1)
     pt = _load_triple(args.file)
-    residual = identity_residual(rc, pt)
+    holds = identity_holds(rc, pt)
     integral = {name: getattr(pt, name).is_positive_integral() for name in ("x", "y", "z")}
-    ok = verify_identity(rc, pt)
+    ok = holds and all(integral.values())
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
@@ -338,7 +330,7 @@ def cmd_verify(args) -> int:
         "n0": str(rc.n0),
         "n1": str(rc.n1),
         "verified": ok,
-        "identity_holds": residual.is_zero(),
+        "identity_holds": holds,
         "integral": integral,
         "degrees": {name: str(getattr(pt, name).degree) for name in ("x", "y", "z")},
     }
@@ -346,14 +338,13 @@ def cmd_verify(args) -> int:
         report = analyze_degrees(rc, pt)
         payload["degree_pattern"] = [str(d) for d in report.degrees]
         payload["aux_degree"] = str(report.aux_degree)
-        text = [
-            "verified",
-            f"degree pattern: {list(report.degrees)}",
-        ]
+        text = ["verified", f"degree pattern: {list(report.degrees)}"]
     else:
         text = []
-        if not residual.is_zero():
-            payload["residual"] = _poly_json(residual)
+        if not holds:
+            xy = pt.x * pt.y
+            residual = (xy * pt.z).scale(rc.m) - rc.n_poly() * (xy + (pt.x + pt.y) * pt.z)
+            payload["residual"] = residual.to_coeff_strings()
             text.append("identity fails")
             text.append(f"residual m*x*y*z - n*(xy + xz + yz) = {residual.format_text()}")
         bad = [name for name, good in integral.items() if not good]
@@ -369,6 +360,7 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trifrac",

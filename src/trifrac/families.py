@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .qpoly import RationalPoly
-from .theorem import PolyTriple, ResidueClass, identity_residual
+from .theorem import PolyTriple, ResidueClass, identity_holds
 
 
 class RoleTriple(NamedTuple):
@@ -63,7 +63,7 @@ class FamilySolution:
 def _checked(rc: ResidueClass, branch: str, x: RationalPoly, y: RationalPoly,
              z: RationalPoly) -> FamilySolution:
     triple = PolyTriple(x=x, y=y, z=z)
-    if not identity_residual(rc, triple).is_zero():
+    if not identity_holds(rc, triple):
         raise ArithmeticError(f"{branch}-family construction broke the identity for {rc}")
     integral = all(p.is_positive_integral() for p in (x, y, z))
     return FamilySolution(branch=branch, triple=triple, integral=integral,

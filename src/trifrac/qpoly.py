@@ -5,8 +5,7 @@ over one positive common denominator ``den``.  Every constructor reduces to
 a canonical form: the last numerator is nonzero and gcd(den, *nums) = 1, so
 equal polynomials have equal fields.  The zero polynomial is ``nums = ()``,
 ``den = 1`` and its degree is None.  All arithmetic is integer arithmetic,
-and ``convolve`` is the package's one polynomial multiplication.  Degrees
-in this package stay small, so a dense representation is the right one.
+and degrees stay small, so a dense representation is the right one.
 """
 
 from __future__ import annotations
@@ -24,17 +23,10 @@ _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 # Longest coefficient string ``from_coeff_strings`` parses; well inside
 # int()'s default 4300-digit conversion limit.
 MAX_COEFF_CHARS = 1000
-# Most coefficients per polynomial; the identity residual is quadratic in it.
+# Most coefficients per polynomial.  At both limits (2-core Xeon, Python 3.11)
+# `verify` takes 0.2 s on a solution and 83 s on a failing triple, to build
+# the residual it reports.
 MAX_COEFFS = 1000
-
-
-def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
 
 
 def _coeff_str(num: int, den: int) -> str:
@@ -111,7 +103,11 @@ class RationalPoly:
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        return RationalPoly.from_ints(convolve(self.nums, other.nums), self.den * other.den)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
+                out[i + j] += a * b
+        return RationalPoly.from_ints(out, self.den * other.den)
 
     def scale(self, factor: Coeff) -> "RationalPoly":
         return RationalPoly.from_ints([factor.numerator * c for c in self.nums],

@@ -28,8 +28,10 @@ integer r (no condition-ii positivity).  ``search_condition_iii`` walks the
 condition-ii family up to a bound on t, visiting only the divisors of
 (k*l)^2, as a cross-check.
 
-``identity_residual`` is the one identity check, in exact integer
-arithmetic; independent verification routes live in the tests.
+``identity_holds`` is the one identity check: it evaluates the cleared
+identity exactly, in integers, at one more point than the degree of its
+residual, which proves the polynomial identity.  Independent verification
+routes live in the tests.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from math import lcm
 
 from .base_solutions import enumerate_base_solutions
 from .intmath import divisors, divisors_from, factorize, gcd
-from .qpoly import RationalPoly, convolve, linear
+from .qpoly import RationalPoly, linear
 
 
 @dataclass(frozen=True)
@@ -234,33 +236,42 @@ def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
     return PolyTriple(x=x, y=y, z=z)
 
 
-def identity_residual(rc: ResidueClass, pt: PolyTriple) -> RationalPoly:
-    """m*x*y*z - n*(x*y + x*z + y*z); the zero polynomial iff the cleared
-    form of the unit-fraction identity holds.
+def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
+    """Whether m*x*y*z = n*(x*y + x*z + y*z) holds identically in lambda.
 
-    This is the package's one identity check.  Scaling x, y, z by their
-    common denominator d gives integer coefficient lists X, Y, Z, so the
-    whole computation is integer convolution: the residual is
-    (m*X*Y*Z - d*n*(X*Y + X*Z + Y*Z)) / d^3.
+    The package's one identity check.  Over a common denominator d, x, y, z
+    have integer numerators X, Y, Z of degrees dx, dy, dz (0 if constant),
+    and d^3 times the residual is R = m*X*Y*Z - d*n*(X*Y + (X + Y)*Z).  Its
+    terms have degree at most D = dx + dy + dz and D + 1 - min(dx, dy, dz),
+    so R is zero exactly when it vanishes at lambda = 0, 1, ..., D, plus one
+    more point when some member is constant: a nonzero polynomial has no
+    more roots than its degree.  X, Y, Z are evaluated by Horner's rule, in
+    integers, and the first point where R is nonzero ends the check.
     """
+    polys = (pt.x, pt.y, pt.z)
     d = lcm(pt.x.den, pt.y.den, pt.z.den)
-    x, y, z = ([c * (d // p.den) for c in p.nums] for p in (pt.x, pt.y, pt.z))
-    xy = convolve(x, y)
-    out = [rc.m * c for c in convolve(xy, z)]
-    dn = [d * rc.n0, d * rc.n1]
-    for pair in (xy, convolve(x, z), convolve(y, z)):
-        term = convolve(dn, pair)
-        out += [0] * (len(term) - len(out))
-        for i, c in enumerate(term):
-            out[i] -= c
-    return RationalPoly.from_ints(out, d ** 3)
+    X, Y, Z = ([c * (d // p.den) for c in reversed(p.nums)] for p in polys)
+    sizes = [max(len(p.nums), 1) for p in polys]
+    m, n0, n1 = rc.m, d * rc.n0, d * rc.n1
+    # D = sum(sizes) - 3; D + 1 points, and one more when a member is constant
+    for lam in range(sum(sizes) - 2 + (min(sizes) == 1)):
+        x = y = z = 0
+        for c in X:
+            x = x * lam + c
+        for c in Y:
+            y = y * lam + c
+        for c in Z:
+            z = z * lam + c
+        if m * x * y * z != (n0 + n1 * lam) * (x * y + (x + y) * z):
+            return False
+    return True
 
 
 def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
     """True iff all three polynomials have strictly positive integer
     coefficients and the triple solves the residue-class equation exactly."""
     return (pt.x.is_positive_integral() and pt.y.is_positive_integral()
-            and pt.z.is_positive_integral() and identity_residual(rc, pt).is_zero())
+            and pt.z.is_positive_integral() and identity_holds(rc, pt))
 
 
 def decide(rc: ResidueClass) -> DecisionOutcome:

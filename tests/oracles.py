@@ -1,13 +1,14 @@
 """Independent reference routes the tests compare trifrac against.
 
 None of these share code with the production checks: they evaluate
-pointwise with ``Fraction``, trial-divide, or walk a search space
-exhaustively.
+pointwise with ``Fraction``, multiply out coefficient lists, trial-divide,
+or walk a search space exhaustively.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from trifrac.base_solutions import BaseTriple
 from trifrac.qpoly import RationalPoly
@@ -22,7 +23,36 @@ def poly_eval(p: RationalPoly, at) -> Fraction:
     return acc / p.den
 
 
-def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
+def _convolve(a, b) -> list[int]:
+    """Coefficients of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def identity_residual(rc: ResidueClass, pt: PolyTriple) -> RationalPoly:
+    """The residual m*x*y*z - n*(x*y + x*z + y*z) as a polynomial.
+
+    Scaling x, y, z by their common denominator d gives integer coefficient
+    lists X, Y, Z, and the residual is (m*X*Y*Z - d*n*(X*Y + X*Z + Y*Z)) / d^3,
+    multiplied out by seven convolutions.
+    """
+    d = lcm(pt.x.den, pt.y.den, pt.z.den)
+    x, y, z = ([c * (d // p.den) for c in p.nums] for p in (pt.x, pt.y, pt.z))
+    xy = _convolve(x, y)
+    out = [rc.m * c for c in _convolve(xy, z)]
+    dn = [d * rc.n0, d * rc.n1]
+    for pair in (xy, _convolve(x, z), _convolve(y, z)):
+        term = _convolve(dn, pair)
+        out += [0] * (len(term) - len(out))
+        for i, c in enumerate(term):
+            out[i] -= c
+    return RationalPoly.from_ints(out, d ** 3)
+
+
+def identity_holds_at_points(rc: ResidueClass, pt: PolyTriple) -> bool:
     """Whether m*x*y*z = n*(x*y + x*z + y*z) holds identically in lambda.
 
     Both sides have degree at most deg, the total number of stored

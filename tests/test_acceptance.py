@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from acceptance_report import criterion
-from oracles import enumerate_condition_iii, identity_holds
+from oracles import enumerate_condition_iii, identity_holds_at_points, identity_residual
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main as cli_main
 from trifrac.families import RoleTriple, discriminant_identity, minus_family, plus_family
@@ -19,7 +19,6 @@ from trifrac.theorem import (
     analyze_degrees,
     decide,
     enumerate_kl,
-    identity_residual,
     search_condition_iii,
     solve_condition_ii,
     verify_identity,
@@ -97,12 +96,12 @@ def test_criterion_5_identity_property_suite(full_grid):
                     minus = minus_family(rc, rt)
                     assert not minus.integral
                     if families_checked % 97 == 0:
-                        # exact rational-polynomial residual as a second route
+                        # independent oracles: the multiplied-out residual and
+                        # exact Fraction evaluation at deg + 1 points
                         assert identity_residual(rc, plus.triple).is_zero()
                         assert identity_residual(rc, minus.triple).is_zero()
-                        # independent oracle: exact evaluation at deg + 1 points
-                        assert identity_holds(rc, plus.triple)
-                        assert identity_holds(rc, minus.triple)
+                        assert identity_holds_at_points(rc, plus.triple)
+                        assert identity_holds_at_points(rc, minus.triple)
                     families_checked += 1
         assert families_checked > 100_000
 

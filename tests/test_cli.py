@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trifrac.base_solutions import MAX_BASE_WALKS, enumerate_base_solutions
-from trifrac.cli import main
+from trifrac.cli import build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
@@ -360,6 +360,36 @@ def test_closed_pipe_keeps_exit_code(argv, want):
     proc.stderr.close()
     assert proc.wait(timeout=120) == want
     assert err == b""
+
+
+def test_main_in_one_process_matches_lone_runs():
+    """The parser is built once per process; no run may see another's state."""
+    sequence = [
+        ["decide", "--m", "3", "--n0", "7", "--n1", "9"],  # precondition error
+        ["decide", "--m", "5", "--n0", "7"],  # parse error
+        ["decide", "--m", "5", "--n0", "7", "--n1", "19", "--t-max", "3", "--format", "json"],
+        ["scan", "--m", "5", "--n1", "29", "--residues", "4,7", "--format", "csv"],
+        ["decide", "--m", "5", "--n0", "7", "--n1", "19", "--format", "json"],
+        ["decide", "--m", "5", "--n0", "7", "--n1", "9"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    codes = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejections
+                code = exc.code
+        lone = subprocess.run([sys.executable, "-m", "trifrac", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            lone.returncode, lone.stdout.decode("utf-8"), lone.stderr.decode("utf-8")), argv
+        codes.append(code)
+    assert codes == [2, 2, 0, 0, 0, 0]
+    assert build_parser() is build_parser()
 
 
 def test_unknown_subcommand_exits_2(capsys):

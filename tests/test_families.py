@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import poly_eval
+from oracles import identity_residual, poly_eval
 
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.families import (
@@ -15,11 +15,7 @@ from trifrac.families import (
 )
 from trifrac.intmath import gcd
 from trifrac.qpoly import RationalPoly, linear
-from trifrac.theorem import (
-    ResidueClass,
-    decide,
-    identity_residual,
-)
+from trifrac.theorem import ResidueClass, decide
 
 GOLDEN_RC = ResidueClass(5, 7, 9)
 GOLDEN_RT = RoleTriple(x0=14, y0=7, z0=2)

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI transcripts.
 
 ``tests/golden/manifest.json`` maps each case name to its argv and exit
-code; ``tests/golden/<name>.out`` holds its exact stdout.  Any change to
-rendering, solution order or evidence strings fails here.  Regenerate only
-when an output change is intended:
+code; ``tests/golden/<name>.out`` holds its exact stdout.  Every case runs
+with ``tests/golden`` as the working directory, so ``verify --file`` reads
+its ``<case>.in.json`` input from there.  Any change to rendering, solution
+order, evidence strings or verification reports fails here.  Regenerate
+only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -37,12 +40,23 @@ CASES["audit-i-5-60-json"] = ["audit", "--corollary", "i", "--m", "5", "--bound"
                               "--format", "json"]
 CASES["audit-4-5-60-text"] = ["audit", "--corollary", "4", "--m", "5", "--bound", "60",
                               "--format", "text"]
+# a solution, a triple off the identity, and rational triples on and off it
+for _kind in ("pass", "fail", "rational", "rational-fail"):
+    for _fmt in ("json", "text", "csv"):
+        CASES[f"verify-5-7-9-{_kind}-{_fmt}"] = [
+            "verify", "--m", "5", "--n0", "7", "--n1", "9",
+            "--file", f"verify-5-7-9-{_kind}.in.json", "--format", _fmt]
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(GOLDEN_DIR)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import build_grid
 from oracles import (
     base_triples_oracle,
     enumerate_condition_iii,
     family_at,
-    identity_holds,
+    identity_holds_at_points,
+    identity_residual,
     is_quadratic_residue,
+    poly_eval,
 )
 
 from trifrac.base_solutions import enumerate_base_solutions
+from trifrac.families import RoleTriple, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
 from trifrac.qpoly import RationalPoly, linear
 from trifrac.theorem import (
@@ -25,7 +30,7 @@ from trifrac.theorem import (
     construct_solution,
     decide,
     enumerate_kl,
-    identity_residual,
+    identity_holds,
     search_condition_iii,
     solve_condition_ii,
     verify_identity,
@@ -235,6 +240,112 @@ def test_identity_holds_matches_exact_residual():
     ]
     for rc, pt in cases:
         assert identity_holds(rc, pt) == identity_residual(rc, pt).is_zero()
+        assert identity_holds(rc, pt) == identity_holds_at_points(rc, pt)
+
+
+def near_miss(rc: ResidueClass, x0: int, y0: int, deg: int) -> PolyTriple:
+    """Constant x = x0, y = y0 and a z of degree deg whose residual is
+    c*lambda*(lambda - 1)*...*(lambda - deg) for some rational c != 0.
+
+    The residual is z*q - x0*y0*n with q = m*x0*y0 - (x0 + y0)*n linear, so
+    c is chosen to make the numerator vanish at the root of q, and z is the
+    exact quotient.  Such a triple agrees with the identity at the deg + 1
+    points 0..deg and fails only at the extra point a constant member needs.
+    """
+    m, n0, n1 = rc.m, rc.n0, rc.n1
+    q0, q1 = m * x0 * y0 - (x0 + y0) * n0, -(x0 + y0) * n1
+    root = Fraction(-q0, q1)
+    if root.denominator == 1 and 0 <= root <= deg:
+        raise ValueError(f"q vanishes at lambda = {root}, one of the points")
+    falling = RationalPoly([1])
+    for i in range(deg + 1):
+        falling = falling * linear(-i, 1)
+    c = -x0 * y0 * (n0 + n1 * root) / poly_eval(falling, root)
+    top = [Fraction(v, falling.den) * c for v in falling.nums]
+    top[0] += x0 * y0 * n0
+    top[1] += x0 * y0 * n1
+    # synthetic division by q0 + q1*lambda, leading coefficient first
+    quotient, carry = [], Fraction(0)
+    for v in reversed(top[1:]):
+        carry = (v - q0 * carry) / q1
+        quotient.append(carry)
+    z = RationalPoly(reversed(quotient))
+    assert top[0] == q0 * quotient[-1]
+    return PolyTriple(x=RationalPoly([x0]), y=RationalPoly([y0]), z=z)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 5])
+def test_identity_holds_needs_the_extra_point_for_a_constant_member(deg):
+    rc = ResidueClass(5, 7, 9)
+    pt = near_miss(rc, 3, 11, deg)
+    assert pt.z.degree == deg
+    residual = identity_residual(rc, pt)
+    assert residual.degree == deg + 1
+    assert all(poly_eval(residual, lam) == 0 for lam in range(deg + 1))
+    for members in permutations((pt.x, pt.y, pt.z)):
+        assert not identity_holds(rc, PolyTriple(*members))
+
+
+RESIDUE_CLASSES = [ResidueClass(5, 7, 9), ResidueClass(4, 2, 3), ResidueClass(7, 3, 20),
+                   ResidueClass(6, 5, 23), ResidueClass(5, 23, 29)]
+COEFFS = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+@st.composite
+def rational_triples(draw):
+    """A residue class and a triple: random (possibly with a constant
+    member, where the residual has degree dx + dy + dz + 1), a family
+    solution (possibly with one coefficient moved), or a near miss."""
+    rc = draw(st.sampled_from(RESIDUE_CLASSES))
+    kind = draw(st.sampled_from(["random", "constant", "family", "near miss"]))
+    if kind == "near miss":
+        x0, y0, deg = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(0, 4))
+        q0 = rc.m * x0 * y0 - (x0 + y0) * rc.n0
+        assume(q0 % ((x0 + y0) * rc.n1) or not 0 <= q0 // ((x0 + y0) * rc.n1) <= deg)
+        return rc, near_miss(rc, x0, y0, deg)
+    if kind == "family":
+        roles = [r for t in enumerate_base_solutions(rc.m, rc.n0) for r in t.role_assignments()]
+        family = draw(st.sampled_from([plus_family, minus_family]))
+        fam = family(rc, RoleTriple(*draw(st.sampled_from(roles))))
+        members = [fam.triple.x, fam.triple.y, fam.triple.z]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, 2))
+            nums = [Fraction(c, members[i].den) for c in members[i].nums]
+            j = draw(st.integers(0, len(nums)))
+            nums += [Fraction(0)] * (j + 1 - len(nums))
+            nums[j] += draw(COEFFS.filter(bool))
+            members[i] = RationalPoly(nums)
+        return rc, PolyTriple(*members)
+    sizes = [draw(st.integers(1, 4)) for _ in range(3)]
+    if kind == "constant":
+        sizes[draw(st.integers(0, 2))] = 1
+    return rc, PolyTriple(*(RationalPoly(draw(st.lists(COEFFS, min_size=n, max_size=n)))
+                            for n in sizes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_triples())
+def test_identity_holds_agrees_with_the_residual_oracle(case):
+    rc, pt = case
+    assert identity_holds(rc, pt) == identity_residual(rc, pt).is_zero()
+
+
+def test_every_unit_perturbation_of_a_solution_is_rejected():
+    """Moving one coefficient of one decided solution by +-1 breaks the
+    identity, and the check sees it, on the m in 4..8, n1 < 40 grid."""
+    perturbed = 0
+    for rc in build_grid(n1_max=39):
+        for _, pt in decide(rc).solutions:
+            members = [pt.x, pt.y, pt.z]
+            for i, p in enumerate(members):
+                for j in range(len(p.nums)):
+                    for step in (-1, 1):
+                        nums = list(p.nums)
+                        nums[j] += step
+                        moved = members[:i] + [RationalPoly(nums)] + members[i + 1:]
+                        assert not identity_holds(rc, PolyTriple(*moved))
+                        perturbed += 1
+    assert perturbed > 4_000
 
 
 # ------------------------------------------------------------ decide
