@@ -1,7 +1,9 @@
 """Command-line frontend: decide, scan, base, family, audit, verify.
 
-Output formats are text (default), json and csv.  JSON output is
-schema-versioned and serializes every mathematical integer as a decimal
+Output formats are text (default), json and csv.  Each command builds
+its payload, text lines and CSV table once; ``_emit`` adds the JSON
+envelope (``schema_version`` and ``command``) and writes the one format
+asked for.  JSON serializes every mathematical integer as a decimal
 string so arbitrary precision survives any consumer.  Exit codes: 0 the
 run completed, 2 a precondition or parse error was rejected, 3 an audit or
 verification found a discrepancy.
@@ -53,23 +55,37 @@ def _params_json(ps) -> dict:
     return {"k": str(ps.k), "l": str(ps.l), "s": str(ps.s), "r": str(ps.r)}
 
 
-def _outcome_json(outcome: DecisionOutcome, t_max: int | None = None) -> dict:
-    rc = outcome.rc
-    payload = {
-        "m": str(rc.m),
-        "n0": str(rc.n0),
-        "n1": str(rc.n1),
+def _rc_json(rc: ResidueClass) -> dict:
+    return {"m": str(rc.m), "n0": str(rc.n0), "n1": str(rc.n1)}
+
+
+def _triple_json(pt: PolyTriple) -> dict:
+    return {name: getattr(pt, name).to_coeff_strings() for name in "xyz"}
+
+
+def _triple_text(pt: PolyTriple) -> list[str]:
+    return [f"  {name} = {getattr(pt, name).format_text()}" for name in "xyz"]
+
+
+def _triple_csv(tag: dict, pt: PolyTriple) -> list[dict]:
+    return [{**tag, "poly": name, "degree": "" if p.degree is None else str(p.degree),
+             **{f"c{i}": c for i, c in enumerate(p.to_coeff_strings())}}
+            for name, p in zip("xyz", (pt.x, pt.y, pt.z))]
+
+
+def _table(rows: list[dict]) -> list[list[str]]:
+    """A header of every key in first-seen order, then each row padded with ""."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    return [fields] + [[row.get(key, "") for key in fields] for row in rows]
+
+
+def _outcome_json(outcome: DecisionOutcome) -> dict:
+    return {
+        **_rc_json(outcome.rc),
         "status": outcome.status,
         "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in outcome.kl_pairs],
-        "solutions": [
-            {
-                "params": _params_json(ps),
-                "x": pt.x.to_coeff_strings(),
-                "y": pt.y.to_coeff_strings(),
-                "z": pt.z.to_coeff_strings(),
-            }
-            for ps, pt in outcome.solutions
-        ],
+        "solutions": [{"params": _params_json(ps), **_triple_json(pt)}
+                      for ps, pt in outcome.solutions],
         "evidence": [
             {
                 "k": str(ev.k),
@@ -82,21 +98,6 @@ def _outcome_json(outcome: DecisionOutcome, t_max: int | None = None) -> dict:
             for ev in outcome.evidence
         ],
     }
-    if t_max is not None and not outcome.is_solvable():
-        searches = []
-        for ev in outcome.evidence:
-            fam = solve_condition_ii(rc, ev.k, ev.l)
-            hit = search_condition_iii(fam, t_max)
-            searches.append(
-                {
-                    "k": str(ev.k),
-                    "l": str(ev.l),
-                    "t_max": str(t_max),
-                    "found": _params_json(hit) if hit else None,
-                }
-            )
-        payload["family_search"] = searches
-    return payload
 
 
 def _outcome_text(outcome: DecisionOutcome) -> list[str]:
@@ -109,36 +110,20 @@ def _outcome_text(outcome: DecisionOutcome) -> list[str]:
         lines.append("condition i admits no (k, l); unsolvable for every residue")
     for i, (ps, pt) in enumerate(outcome.solutions, 1):
         lines.append(f"solution {i}: (k, l, s, r) = ({ps.k}, {ps.l}, {ps.s}, {ps.r})")
-        lines.append(f"  x = {pt.x.format_text()}")
-        lines.append(f"  y = {pt.y.format_text()}")
-        lines.append(f"  z = {pt.z.format_text()}")
+        lines += _triple_text(pt)
     for ev in outcome.evidence:
         lines.append(f"(k={ev.k}, l={ev.l}): family {ev.family}; {ev.reason}")
     return lines
 
 
-def _poly_csv_row(tag: dict, name: str, p: RationalPoly) -> dict:
-    row = dict(tag)
-    row["poly"] = name
-    row["degree"] = "" if p.degree is None else str(p.degree)
-    for i, c in enumerate(p.to_coeff_strings()):
-        row[f"c{i}"] = c
-    return row
-
-
-def _emit_csv(rows: list[dict], stream) -> None:
-    fields = list(dict.fromkeys(key for row in rows for key in row))
-    writer = csv.DictWriter(stream, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[dict]) -> None:
+def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]]) -> None:
+    """Write one format; ``csv_rows`` starts with its header row."""
     try:
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            envelope = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
+            print(json.dumps(envelope | payload, indent=2, sort_keys=True))
         elif args.format == "csv":
-            _emit_csv(csv_rows, sys.stdout)
+            csv.writer(sys.stdout).writerows(csv_rows)
         else:
             print("\n".join(text_lines))
         sys.stdout.flush()
@@ -155,34 +140,27 @@ def cmd_decide(args) -> int:
         raise ValueError(f"--t-max must be >= 0, got {args.t_max}")
     rc = ResidueClass(args.m, args.n0, args.n1)
     outcome = decide(rc)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "decide"}
-    payload.update(_outcome_json(outcome, t_max=args.t_max))
-    csv_rows = []
-    if outcome.solutions:
-        for ps, pt in outcome.solutions:
-            tag = {"status": outcome.status, "k": str(ps.k), "l": str(ps.l),
-                   "s": str(ps.s), "r": str(ps.r)}
-            for name in ("x", "y", "z"):
-                csv_rows.append(_poly_csv_row(tag, name, getattr(pt, name)))
-    else:
-        csv_rows.append({"status": outcome.status})
-    _emit(args, payload, _outcome_text(outcome), csv_rows)
+    payload = _outcome_json(outcome)
+    if not outcome.is_solvable():
+        payload["family_search"] = searches = []
+        for ev in outcome.evidence:
+            hit = search_condition_iii(solve_condition_ii(rc, ev.k, ev.l), args.t_max)
+            searches.append({"k": str(ev.k), "l": str(ev.l), "t_max": str(args.t_max),
+                             "found": _params_json(hit) if hit else None})
+    csv_rows = [row for ps, pt in outcome.solutions
+                for row in _triple_csv({"status": outcome.status, **_params_json(ps)}, pt)]
+    csv_rows = csv_rows or [{"status": outcome.status}]
+    _emit(args, payload, _outcome_text(outcome), _table(csv_rows))
     return EXIT_OK
 
 
 def cmd_base(args) -> int:
     triples = enumerate_base_solutions(args.m, args.n0)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "base",
-        "m": str(args.m),
-        "n0": str(args.n0),
-        "triples": [[str(t.a), str(t.b), str(t.c)] for t in triples],
-    }
+    rows = [[str(t.a), str(t.b), str(t.c)] for t in triples]
+    payload = {"m": str(args.m), "n0": str(args.n0), "triples": rows}
     text = [f"{args.m}/{args.n0} = 1/a + 1/b + 1/c : {len(triples)} solution(s)"]
     text += [f"  {{{t.a}, {t.b}, {t.c}}}" for t in triples]
-    csv_rows = [{"a": str(t.a), "b": str(t.b), "c": str(t.c)} for t in triples]
-    _emit(args, payload, text, csv_rows)
+    _emit(args, payload, text, [["a", "b", "c"], *rows])
     return EXIT_OK
 
 
@@ -190,12 +168,10 @@ def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     residues = None
-    if args.residues:
+    if args.residues is not None:  # an empty list is an error, not a full scan
         residues = [int(tok) for tok in args.residues.split(",")]
     report = scan_residues(args.m, args.n1, residues=residues)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
         "m": str(report.m),
         "n1": str(report.n1),
         "rows": [_outcome_json(row.outcome) for row in report.rows],
@@ -209,11 +185,9 @@ def cmd_scan(args) -> int:
         text.append(f"  n0 = {row.n0}: {row.outcome.status}{suffix}")
     text.append(f"admissible residues: {list(report.admissible)}")
     text.append(f"summary: {report.summary}")
-    csv_rows = [
-        {"n0": str(row.n0), "status": row.outcome.status,
-         "solutions": str(len(row.outcome.solutions))}
-        for row in report.rows
-    ]
+    csv_rows = [["n0", "status", "solutions"]]
+    csv_rows += [[str(row.n0), row.outcome.status, str(len(row.outcome.solutions))]
+                 for row in report.rows]
     _emit(args, payload, text, csv_rows)
     return EXIT_OK
 
@@ -229,29 +203,17 @@ def cmd_family(args) -> int:
     fam: FamilySolution = (plus_family if args.branch == "plus" else minus_family)(rc, rt)
     pt = fam.triple
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "family",
-        "m": str(rc.m),
-        "n0": str(rc.n0),
-        "n1": str(rc.n1),
+        **_rc_json(rc),
+        **_triple_json(pt),
         "branch": fam.branch,
         "roles": {"x0": str(rt.x0), "y0": str(rt.y0), "z0": str(rt.z0)},
-        "x": pt.x.to_coeff_strings(),
-        "y": pt.y.to_coeff_strings(),
-        "z": pt.z.to_coeff_strings(),
         "integral": fam.integral,
         "degenerate": fam.degenerate,
     }
-    text = [
-        f"{fam.branch} family at (x0, y0, z0) = ({rt.x0}, {rt.y0}, {rt.z0})",
-        f"  x = {pt.x.format_text()}",
-        f"  y = {pt.y.format_text()}",
-        f"  z = {pt.z.format_text()}",
-        f"  integer coefficients: {'yes' if fam.integral else 'no'}",
-    ]
+    text = [f"{fam.branch} family at (x0, y0, z0) = ({rt.x0}, {rt.y0}, {rt.z0})",
+            *_triple_text(pt), f"  integer coefficients: {'yes' if fam.integral else 'no'}"]
     tag = {"branch": fam.branch, "integral": str(fam.integral).lower()}
-    csv_rows = [_poly_csv_row(tag, name, getattr(pt, name)) for name in ("x", "y", "z")]
-    _emit(args, payload, text, csv_rows)
+    _emit(args, payload, text, _table(_triple_csv(tag, pt)))
     return EXIT_OK
 
 
@@ -263,8 +225,6 @@ def cmd_audit(args) -> int:
     }[args.corollary]
     report: AuditReport = runner(args.m, args.bound)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "audit",
         "audit": report.audit,
         "m": str(report.m),
         "bound": str(report.bound),
@@ -284,10 +244,8 @@ def cmd_audit(args) -> int:
     for inst in report.instances:
         text.append(f"  p = {inst.prime}: {inst.verdict} ({inst.detail})")
     text.append("discrepancies found" if report.has_discrepancy else "all consistent")
-    csv_rows = [
-        {"p": str(inst.prime), "verdict": inst.verdict, "detail": inst.detail}
-        for inst in report.instances
-    ]
+    csv_rows = [["p", "verdict", "detail"]]
+    csv_rows += [[str(inst.prime), inst.verdict, inst.detail] for inst in report.instances]
     _emit(args, payload, text, csv_rows)
     return EXIT_DISCREPANCY if report.has_discrepancy else EXIT_OK
 
@@ -324,11 +282,7 @@ def cmd_verify(args) -> int:
     integral = {name: getattr(pt, name).is_positive_integral() for name in ("x", "y", "z")}
     ok = holds and all(integral.values())
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "m": str(rc.m),
-        "n0": str(rc.n0),
-        "n1": str(rc.n1),
+        **_rc_json(rc),
         "verified": ok,
         "identity_holds": holds,
         "integral": integral,
@@ -352,9 +306,7 @@ def cmd_verify(args) -> int:
             text.append(f"not positive-integral: {', '.join(bad)}")
         if not text:
             text.append("verification failed")
-    tag = {"verified": str(ok).lower()}
-    csv_rows = [_poly_csv_row(tag, name, getattr(pt, name)) for name in ("x", "y", "z")]
-    _emit(args, payload, text, csv_rows)
+    _emit(args, payload, text, _table(_triple_csv({"verified": str(ok).lower()}, pt)))
     return EXIT_OK if ok else EXIT_DISCREPANCY
 
 
@@ -371,24 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
+    def add_ints(p, flags):
+        for flag in flags:
+            p.add_argument(flag, type=int, required=True)
+
+    residue_class = ("--m", "--n0", "--n1")
     p = sub.add_parser("decide", help="decide one residue class and construct all solutions")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
+    add_ints(p, residue_class)
     p.add_argument("--t-max", type=int, default=DEFAULT_T_MAX,
                    help="bound for the corroborating family search on unsolvable outcomes")
     add_format(p)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("base", help="enumerate positive triples with 1/a + 1/b + 1/c = m/n0")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
+    add_ints(p, residue_class[:2])
     add_format(p)
     p.set_defaults(func=cmd_base)
 
     p = sub.add_parser("scan", help="run decide over every residue coprime to the modulus")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
+    add_ints(p, ("--m", "--n1"))
     p.add_argument("--residues", help="comma-separated subset of residues to scan")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; residues are always decided serially")
@@ -396,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("family", help="build the plus or minus rational family from a base triple")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
+    add_ints(p, residue_class)
     p.add_argument("--base", required=True, help="three members, e.g. 2,7,14")
     p.add_argument("--roles", default="x0,y0,z0",
                    help="role of each --base entry, a permutation of x0,y0,z0")
@@ -414,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("verify", help="verify an externally supplied polynomial triple")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
+    add_ints(p, residue_class)
     p.add_argument("--file", required=True, help="JSON file with x, y, z coefficient strings")
     add_format(p)
     p.set_defaults(func=cmd_verify)

@@ -182,6 +182,23 @@ def test_audit_bound_beyond_limit_exits_2(capsys, corollary, bound):
     assert err == f"error: bound must be <= {MAX_AUDIT_BOUND}, got {bound}\n"
 
 
+def test_scan_empty_residue_list_exits_2(capsys):
+    # an empty list is not "every residue"
+    code, out, err = run(capsys, ["scan", "--m", "5", "--n1", "9", "--residues="])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["base", "--m", "5", "--n0", "1"], "a,b,c"),
+    (["audit", "--corollary", "3", "--m", "5", "--bound", "5"], "p,verdict,detail"),
+])
+def test_csv_without_rows_prints_header(capsys, argv, header):
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert out == header + "\r\n"
+
+
 def test_scan_residue_subset(capsys):
     code, out, _ = run(capsys, ["scan", "--m", "4", "--n1", "13",
                                 "--residues", "1,2,3", "--format", "json"])
@@ -420,15 +437,21 @@ def _family_argv(draw):
             "--branch", draw(st.sampled_from(["plus", "minus"]))]
 
 
+# empty, duplicated, out of range and not coprime residue lists
+_RESIDUES = st.one_of(
+    st.lists(_ints(-3, 44), max_size=4),
+    _ints(1, 40).map(lambda r: [r, r]),
+).map(lambda toks: "--residues=" + ",".join(toks))
+
 _FUZZ_ARGV = st.one_of(
     st.tuples(st.just("decide"), st.just("--m"), _M, st.just("--n0"), _ints(-3, 199),
               st.just("--n1"), _ints(-3, 199), st.just("--t-max"), _ints(-2, 30)),
     st.tuples(st.just("scan"), st.just("--m"), _M, st.just("--n1"), _ints(-3, 40),
-              st.just("--jobs"), _ints(-1, 4)),
+              st.just("--jobs"), _ints(-1, 4), st.none() | _RESIDUES),
     st.tuples(st.just("base"), st.just("--m"), _M, st.just("--n0"), _ints(-3, 199)),
     st.tuples(st.just("audit"), st.just("--corollary"), st.sampled_from(["i", "3", "4"]),
               st.just("--m"), _M, st.just("--bound"), _ints(-3, 59)),
-).map(list) | _family_argv()
+).map(lambda argv: [tok for tok in argv if tok is not None]) | _family_argv()
 
 
 @settings(max_examples=150, deadline=None)
@@ -444,6 +467,8 @@ def test_cli_fuzz_exit_codes(argv, fmt):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: "))
+    if "--residues=" in argv:
+        assert code == 2
 
 
 _COEFF = st.one_of(

@@ -33,13 +33,20 @@ for _m, _n1 in ((5, 29), (7, 55)):
     for _fmt in ("json", "text", "csv"):
         CASES[f"scan-{_m}-{_n1}-{_fmt}"] = [
             "scan", "--m", str(_m), "--n1", str(_n1), "--format", _fmt]
+# the base triple {2, 5, 70} of 5/7 in the default roles and rotated
+for _branch in ("plus", "minus"):
+    for _roles, _extra in (("xyz", []), ("zxy", ["--roles", "z0,x0,y0"])):
+        for _fmt in ("json", "text", "csv"):
+            CASES[f"family-5-7-9-{_branch}-{_roles}-{_fmt}"] = [
+                "family", "--m", "5", "--n0", "7", "--n1", "9", "--base", "2,5,70",
+                *_extra, "--branch", _branch, "--format", _fmt]
 CASES["base-5-7-text"] = ["base", "--m", "5", "--n0", "7"]
-CASES["audit-3-5-60-json"] = ["audit", "--corollary", "3", "--m", "5", "--bound", "60",
-                              "--format", "json"]
-CASES["audit-i-5-60-json"] = ["audit", "--corollary", "i", "--m", "5", "--bound", "60",
-                              "--format", "json"]
-CASES["audit-4-5-60-text"] = ["audit", "--corollary", "4", "--m", "5", "--bound", "60",
-                              "--format", "text"]
+for _fmt in ("json", "csv"):
+    CASES[f"base-5-7-{_fmt}"] = ["base", "--m", "5", "--n0", "7", "--format", _fmt]
+for _corollary in ("3", "i", "4"):
+    for _fmt in ("json", "text", "csv"):
+        CASES[f"audit-{_corollary}-5-60-{_fmt}"] = [
+            "audit", "--corollary", _corollary, "--m", "5", "--bound", "60", "--format", _fmt]
 # a solution, a triple off the identity, and rational triples on and off it
 for _kind in ("pass", "fail", "rational", "rational-fail"):
     for _fmt in ("json", "text", "csv"):
@@ -72,6 +79,13 @@ def test_cli_transcript_matches_golden(name):
     assert code == case["exit"]
     assert err == ""
     assert out == (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
+
+
+def test_manifest_and_files_match_cases():
+    assert sorted(_manifest()) == sorted(CASES)
+    inputs = {tok for argv in CASES.values() for tok in argv if tok.endswith(".in.json")}
+    owned = {f"{name}.out" for name in CASES} | inputs
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir() if p.name != "manifest.json") == sorted(owned)
 
 
 if __name__ == "__main__":
