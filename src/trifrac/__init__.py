@@ -29,6 +29,7 @@ from .theorem import (
     ParamSet,
     PolyTriple,
     ResidueClass,
+    admissible_residues,
     analyze_degrees,
     construct_solution,
     decide,
@@ -58,6 +59,7 @@ __all__ = [
     "RoleTriple",
     "ScanReport",
     "ScanRow",
+    "admissible_residues",
     "analyze_degrees",
     "audit_condition_i",
     "audit_corollary3",

@@ -1,9 +1,10 @@
 """Residue sweeps over a modulus and empirical audits of the equation's
 exclusion rules, all driven by the complete decision procedure.
 
-Condition i) depends on the modulus alone, so the audits sweep a prime's
-residues only when ``enumerate_kl`` admits some (k, l): with none, ``decide``
-would call every residue unsolvable from that same empty list.
+A scan decides every residue, since its unsolvable rows carry evidence.  The
+audits need only a prime's solvable residues: ``admissible_residues`` sieves
+them out of the (k*l)^2 divisors, and ``decide`` builds and verifies each
+one's solutions (a sieved residue it calls unsolvable raises AssertionError).
 
 The audits deliberately report rather than assert for m != 4: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are
@@ -18,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intmath import gcd, primes_up_to
-from .theorem import DecisionOutcome, ResidueClass, decide, enumerate_kl
+from .theorem import DecisionOutcome, ResidueClass, admissible_residues, decide, enumerate_kl
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
 # full JSON scan of m = 4, n1 = 49999 takes 21 s at 330 MB; at bound 10000,
-# audit corollary 3 (m = 5) takes 157 s and condition i (m = 4) 107 s, < 100 MB.
+# audit corollary 3 (m = 5) takes 2 s at 65 MB and the others under 0.5 s.
+# Audit output is built whole, so the bound stays until it is streamed.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
@@ -109,24 +111,24 @@ def _check_bound(bound: int, least: int) -> None:
         raise ValueError(f"bound must be <= {MAX_AUDIT_BOUND}, got {bound}")
 
 
-def _solvable_residues(m: int, p: int, kl: list[tuple[int, int]]):
-    """Solvable outcomes of p's residues, ascending in n0; none if kl is empty."""
-    if kl:
-        for n0 in range(1, p):
-            outcome = decide(ResidueClass(m, n0, p))
-            if outcome.is_solvable():
-                yield outcome
+def _solvable_residues(m: int, p: int):
+    """Solvable outcomes of p's residues, ascending in n0: ``decide`` runs only
+    on the residues ``admissible_residues`` finds, and must agree."""
+    for n0 in admissible_residues(m, p):
+        outcome = decide(ResidueClass(m, n0, p))
+        if not outcome.is_solvable():
+            raise AssertionError(f"sieved residue (m, n0, n1) = ({m}, {n0}, {p}) is unsolvable")
+        yield outcome
 
 
 def audit_condition_i(m: int, bound: int) -> AuditReport:
     """Check prime moduli against the "modulus must be l*(m*k - 1)" rule.
 
     For each prime p <= bound coprime to m: record whether condition i)
-    admits any (k, l) and, if it does, decide residues in ascending order
-    up to the first solvable one.  A solvable residue where the m = 4
-    reading (p of the form 4k - 1) forbids one is reported as a discrepancy
-    with its verified witness; for m = 4 that can never happen and the
-    audit asserts it.
+    admits any (k, l) and decide p's smallest solvable residue, if the sieve
+    finds one.  A solvable residue where the m = 4 reading (p of the form
+    4k - 1) forbids one is reported as a discrepancy with its verified
+    witness; for m = 4 that can never happen and the audit asserts it.
     """
     _check_bound(bound, 2)
     instances = []
@@ -134,7 +136,7 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
         if gcd(p, m) != 1:
             continue
         kl = enumerate_kl(m, p)
-        solvable = next(_solvable_residues(m, p, kl), None)
+        solvable = next(_solvable_residues(m, p), None)
         if m == 4 and p % 4 == 1 and kl:
             raise AssertionError(f"m = 4, p = {p} = 1 (mod 4) admitted (k, l) = {kl}")
         form_4k_minus_1 = p % 4 == 3
@@ -161,9 +163,9 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
 def audit_corollary3(m: int, bound: int) -> AuditReport:
     """Probe the "no prime modulus = 1 (mod 4)" exclusion over all residues.
 
-    Decides every residue of every prime p = 1 (mod 4) with p <= bound and
-    gcd(p, m) = 1 whose condition i) admits some (k, l).  Any solvable
-    residue is a discrepancy and ships with its verified solutions; for
+    Decides every sieved solvable residue of every prime p = 1 (mod 4)
+    with p <= bound and gcd(p, m) = 1; the other residues are unsolvable.
+    Each is a discrepancy and ships with its verified solutions; for
     m = 4 the exclusion follows from condition i) and every instance comes
     out consistent.
     """
@@ -173,7 +175,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
         if p % 4 != 1 or gcd(p, m) != 1:
             continue
         kl = enumerate_kl(m, p)
-        witnesses = list(_solvable_residues(m, p, kl))
+        witnesses = list(_solvable_residues(m, p))
         if witnesses:
             residues = [w.rc.n0 for w in witnesses]
             instances.append(AuditInstance(

@@ -26,7 +26,8 @@ needs no test of its own, and a failed (k, l) has one of two reasons: no
 triple member s*n0 (no qualifying base triple), or none with a positive
 integer r (no condition-ii positivity).  ``search_condition_iii`` walks the
 condition-ii family up to a bound on t, visiting only the divisors of
-(k*l)^2, as a cross-check.
+(k*l)^2, as a cross-check.  ``admissible_residues`` sieves a whole modulus
+with the same divisors, finding every solvable residue without deciding any.
 
 ``identity_holds`` is the one identity check: it evaluates the cleared
 identity exactly, in integers, at one more point than the degree of its
@@ -195,6 +196,36 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
     return ParamFamily(k=k, l=l, s0=s0, r0=r0, step=(n0, n1))
 
 
+def _kl_square_divisors(k: int, l: int) -> list[int]:
+    """The divisors of (k*l)^2, ascending, factored through k and l."""
+    factors = Counter(factorize(k)) + Counter(factorize(l))
+    return divisors_from({p: 2 * e for p, e in factors.items()})
+
+
+def admissible_residues(m: int, n1: int) -> list[int]:
+    """Every n0 in [1, n1) coprime to n1 whose class is solvable, ascending.
+
+    Conditions ii) and iii) force r | (k*l)^2, since (k*l)^2 =
+    k*l*(s*n1 - r*n0) = s*k*l*n1 = 0 (mod r).  For each (k, l) of condition
+    i) and each such r with g = gcd(r, n1) dividing k*l, r*n0 = -k*l (mod n1)
+    fixes n0 modulo n1/g, s = (k*l + r*n0)/n1 is then a positive integer,
+    and n0 is kept when r | s*k*l.
+    """
+    found = set()
+    for k, l in enumerate_kl(m, n1):
+        kl = k * l
+        for r in _kl_square_divisors(k, l):
+            g = gcd(r, n1)
+            if kl % g:
+                continue
+            step = n1 // g
+            first = -(kl // g) * pow(r // g, -1, step) % step
+            for n0 in range(first or step, n1, step):
+                if gcd(n0, n1) == 1 and (kl + r * n0) // n1 * kl % r == 0:
+                    found.add(n0)
+    return sorted(found)
+
+
 def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
     """Smallest t in [0, t_max] meeting condition iii, or None.
 
@@ -210,9 +241,8 @@ def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
     n0, n1 = fam.step
     if n0 < 1 or n1 < 1 or s0 * n1 != k * l + r0 * n0:
         raise ValueError(f"{fam.describe()} with (k, l) = ({k}, {l}) is not a condition-ii family")
-    factors = Counter(factorize(k)) + Counter(factorize(l))
     r_max = r0 + n1 * t_max
-    for r in divisors_from({p: 2 * e for p, e in factors.items()}):
+    for r in _kl_square_divisors(k, l):
         if r > r_max:
             break
         t, off = divmod(r - r0, n1)

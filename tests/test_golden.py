@@ -47,6 +47,9 @@ for _corollary in ("3", "i", "4"):
     for _fmt in ("json", "text", "csv"):
         CASES[f"audit-{_corollary}-5-60-{_fmt}"] = [
             "audit", "--corollary", _corollary, "--m", "5", "--bound", "60", "--format", _fmt]
+# m = 7 audits with several solvable residues per prime
+CASES["audit-3-7-300-json"] = ["audit", "--corollary", "3", "--m", "7", "--bound", "300", "--format", "json"]
+CASES["audit-i-7-300-csv"] = ["audit", "--corollary", "i", "--m", "7", "--bound", "300", "--format", "csv"]
 # a solution, a triple off the identity, and rational triples on and off it
 for _kind in ("pass", "fail", "rational", "rational-fail"):
     for _fmt in ("json", "text", "csv"):

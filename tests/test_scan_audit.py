@@ -10,7 +10,7 @@ from trifrac.scan_audit import (
     audit_corollary4,
     scan_residues,
 )
-from trifrac.theorem import ParamSet, ResidueClass, decide, verify_identity
+from trifrac.theorem import DecisionOutcome, ParamSet, ResidueClass, decide, verify_identity
 
 
 def test_scan_5_mod_9():
@@ -76,6 +76,27 @@ def test_audit_condition_i_skips_primes_without_kl(monkeypatch):
     assert not report.has_discrepancy
     assert decided
     assert all(rc.n1 % 4 == 3 for rc in decided)
+
+
+def test_audit_corollary3_decides_only_its_witnesses(monkeypatch):
+    decided = _record_decided(monkeypatch)
+    report = audit_corollary3(5, 200)
+    witnesses = [w.rc for inst in report.instances for w in inst.witnesses]
+    assert len(witnesses) > len(report.discrepancies) > 1
+    assert decided == witnesses
+
+
+def test_audit_condition_i_decides_at_most_once_per_prime(monkeypatch):
+    decided = _record_decided(monkeypatch)
+    report = audit_condition_i(4, 200)
+    assert decided == [w.rc for inst in report.instances for w in inst.witnesses]
+    assert len({rc.n1 for rc in decided}) == len(decided) > 1
+
+
+def test_audit_rejects_a_sieved_residue_decide_calls_unsolvable(monkeypatch):
+    monkeypatch.setattr(scan_audit, "decide", lambda rc: DecisionOutcome(rc, "unsolvable", (), ()))
+    with pytest.raises(AssertionError, match="sieved residue"):
+        audit_corollary3(5, 29)
 
 
 def test_audit_corollary4_decides_both_classes_once(monkeypatch):

@@ -26,6 +26,7 @@ from trifrac.theorem import (
     ParamSet,
     PolyTriple,
     ResidueClass,
+    admissible_residues,
     analyze_degrees,
     construct_solution,
     decide,
@@ -462,6 +463,27 @@ def test_decide_agrees_with_family_search(small_grid):
             t, rem = divmod(ps.s - fam.s0, rc.n0)
             assert rem == 0 and t >= 0
             assert family_at(fam, t) == (ps.s, ps.r)
+
+
+# ------------------------------------------------------------ admissible residues
+
+def test_admissible_residues_examples():
+    assert admissible_residues(5, 9) == [4, 7, 8]
+    for p in (13, 29, 101):
+        assert admissible_residues(4, p) == []
+    with pytest.raises(ValueError, match="gcd\\(n1, m\\)"):
+        admissible_residues(4, 10)
+
+
+def test_admissible_residues_match_decide_on_the_grid():
+    moduli = [(m, n1) for m in range(4, 10) for n1 in range(2, 260) if gcd(m, n1) == 1]
+    assert len(moduli) == 944
+    # several (k, l), so a composite modulus, with solvable residues
+    assert any(len(enumerate_kl(m, n1)) > 1 and admissible_residues(m, n1) for m, n1 in moduli)
+    for m, n1 in moduli:
+        solvable = [n0 for n0 in range(1, n1)
+                    if gcd(n0, n1) == 1 and decide(ResidueClass(m, n0, n1)).is_solvable()]
+        assert admissible_residues(m, n1) == solvable, (m, n1)
 
 
 # ------------------------------------------------------------ degrees
