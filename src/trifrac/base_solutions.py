@@ -14,10 +14,10 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .intmath import divisors_from, factorize, gcd
+from .intmath import factorize, gcd
 
 # Most smallest members a full enumeration walks, floor(3*n0/m) - floor(n0/m):
-# 2,000 walks took 0.15 s for a prime n0 and 17 s for m = 9973, n0 = 9979200
+# about 2,000 walks take 0.2 s for a prime n0 and 5 s for m = 99991, n0 = 99792000
 # (highly composite, so each walk lists more divisors) on a 2-core Xeon VM.
 MAX_BASE_WALKS = 2_000
 
@@ -38,7 +38,10 @@ def _walk(m: int, n0: int, n0_primes: dict[int, int], u: int) -> Iterator[tuple[
     """All b <= c with 1/u + 1/b + 1/c = m/n0, in ascending order of b.
 
     Q = n0*u/g is factored through n0: ``factorize`` sees only its part
-    coprime to n0, which divides u.
+    coprime to n0, which divides u.  The divisors d <= Q of Q^2 are built
+    prime by prime, and a partial product above Q is dropped at once: the
+    later primes only multiply it further, so no divisor <= Q extends it.
+    Only the hits d = -Q (mod P) are sorted, and b = (d + Q)/P grows with d.
     """
     num, den = m * u - n0, n0 * u
     if num <= 0:
@@ -51,11 +54,15 @@ def _walk(m: int, n0: int, n0_primes: dict[int, int], u: int) -> Iterator[tuple[
             rest //= prime
             factors[prime] = factors.get(prime, 0) + 2
     factors.update((prime, 2 * e) for prime, e in factorize(rest).items())
-    for d in divisors_from(factors):
-        if d > q:
-            break
-        if (d + q) % p == 0:
-            yield (d + q) // p, (q * q // d + q) // p
+    divs = [1]
+    for prime, e in factors.items():
+        grown, limit = divs, q // prime
+        for _ in range(e):
+            grown = [d * prime for d in grown if d <= limit]
+            divs += grown
+    hit = -q % p
+    for d in sorted([d for d in divs if d % p == hit]):
+        yield (d + q) // p, (q * q // d + q) // p
 
 
 def enumerate_base_solutions(m: int, n0: int, member: int | None = None) -> tuple[BaseTriple, ...]:
@@ -73,15 +80,15 @@ def enumerate_base_solutions(m: int, n0: int, member: int | None = None) -> tupl
     if member is not None and member < 1:
         raise ValueError(f"member must be >= 1, got {member}")
     n0_primes = factorize(n0)
+    # Each walk yields b ascending, so the triples come out ascending: through
+    # a member u, those with b < u start with b and the rest with u.
     if member is not None:
-        out = [BaseTriple(*sorted((member, b, c)))
-               for b, c in _walk(m, n0, n0_primes, member)]
-    else:
-        walks = 3 * n0 // m - n0 // m
-        if walks > MAX_BASE_WALKS:
-            raise ValueError(f"enumerating every triple of {m}/{n0} walks {walks} smallest "
-                             f"members, more than {MAX_BASE_WALKS}")
-        out = [BaseTriple(a, b, c)
-               for a in range(n0 // m + 1, 3 * n0 // m + 1)
-               for b, c in _walk(m, n0, n0_primes, a) if b >= a]
-    return tuple(sorted(out))
+        return tuple(BaseTriple(*sorted((member, b, c)))
+                     for b, c in _walk(m, n0, n0_primes, member))
+    walks = 3 * n0 // m - n0 // m
+    if walks > MAX_BASE_WALKS:
+        raise ValueError(f"enumerating every triple of {m}/{n0} walks {walks} smallest "
+                         f"members, more than {MAX_BASE_WALKS}")
+    return tuple(BaseTriple(a, b, c)
+                 for a in range(n0 // m + 1, 3 * n0 // m + 1)
+                 for b, c in _walk(m, n0, n0_primes, a) if b >= a)

@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .base_solutions import enumerate_base_solutions
@@ -116,12 +117,36 @@ def _outcome_text(outcome: DecisionOutcome) -> list[str]:
     return lines
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` over str-keyed dicts, lists,
+    tuples, str, int, bool and None, escaping with the C ``encode_basestring_ascii``
+    (json.dumps with an indent runs its pure-Python encoder); else TypeError.
+    ``indent`` is the newline and spaces that start a line at this depth."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int: True == 1
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"{type(value).__name__} is not part of the JSON payload vocabulary")
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]]) -> None:
     """Write one format; ``csv_rows`` starts with its header row."""
     try:
         if args.format == "json":
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
-            print(json.dumps(envelope | payload, indent=2, sort_keys=True))
+            print(_json(envelope | payload))
         elif args.format == "csv":
             csv.writer(sys.stdout).writerows(csv_rows)
         else:

@@ -23,8 +23,8 @@ from .theorem import DecisionOutcome, ResidueClass, admissible_residues, decide,
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 takes 21 s at 330 MB; at bound 10000,
-# audit corollary 3 (m = 5) takes 2 s at 65 MB and the others under 0.5 s.
+# full JSON scan of m = 4, n1 = 49999 takes 10 s at 220 MB; at bound 10000,
+# audit corollary 3 (m = 5) takes 1.7 s at 52 MB and the others under 0.5 s.
 # Audit output is built whole, so the bound stays until it is streamed.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000

@@ -101,6 +101,23 @@ def trial_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def member_walk_oracle(m: int, n0: int, member: int) -> tuple[BaseTriple, ...]:
+    """The triples through ``member`` that its divisor walk implies, in walk order.
+
+    1/b + 1/c = m/n0 - 1/member = P/Q in lowest terms.  Every divisor of Q^2
+    is a product of two divisors of Q (trial division); each d <= Q with
+    d = -Q (mod P), taken ascending, gives b = (d + Q)/P and c = (Q^2/d + Q)/P.
+    """
+    rest = Fraction(m, n0) - Fraction(1, member)
+    if rest <= 0:
+        return ()
+    p, q = rest.numerator, rest.denominator
+    divs = trial_divisors(q)
+    square = sorted({d1 * d2 for d1 in divs for d2 in divs if d1 * d2 <= q})
+    return tuple(BaseTriple(*sorted((member, (d + q) // p, (q * q // d + q) // p)))
+                 for d in square if (d + q) % p == 0)
+
+
 def is_quadratic_residue(a: int, n: int) -> bool:
     """True iff w*w == a (mod n) for some w in [0, n); exhaustive O(n)."""
     if n < 2:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import base_triples_oracle
+from oracles import base_triples_oracle, member_walk_oracle
 from trifrac.base_solutions import BaseTriple, enumerate_base_solutions
 
 
@@ -126,3 +126,11 @@ def test_member_walk_factors_only_the_part_coprime_to_n0():
     # coprime to n0 = 2^61 - 1 is 2^64 + 1 = 274177 * 67280421310721.
     n0 = 2**61 - 1
     assert enumerate_base_solutions(5, n0, (2**64 + 1) * n0) == ()
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 9])
+@pytest.mark.parametrize("n0", [720, 5040, 55440])
+def test_member_walk_of_highly_composite_n0_matches_trial_division_oracle(m, n0):
+    # decide's walks: Q^2 has hundreds of divisors, about half of them above Q
+    for k in range(1, 41):
+        assert enumerate_base_solutions(m, n0, k * n0) == member_walk_oracle(m, n0, k * n0)
