@@ -36,7 +36,7 @@ from .theorem import (
     ResidueClass,
     analyze_degrees,
     decide,
-    identity_holds,
+    residual,
     search_condition_iii,
     solve_condition_ii,
 )
@@ -303,7 +303,8 @@ def _load_triple(path: str) -> PolyTriple:
 def cmd_verify(args) -> int:
     rc = ResidueClass(args.m, args.n0, args.n1)
     pt = _load_triple(args.file)
-    holds = identity_holds(rc, pt)
+    res = residual(rc, pt)
+    holds = res.is_zero()
     integral = {name: getattr(pt, name).is_positive_integral() for name in ("x", "y", "z")}
     ok = holds and all(integral.values())
     payload = {
@@ -321,11 +322,9 @@ def cmd_verify(args) -> int:
     else:
         text = []
         if not holds:
-            xy = pt.x * pt.y
-            residual = (xy * pt.z).scale(rc.m) - rc.n_poly() * (xy + (pt.x + pt.y) * pt.z)
-            payload["residual"] = residual.to_coeff_strings()
+            payload["residual"] = res.to_coeff_strings()
             text.append("identity fails")
-            text.append(f"residual m*x*y*z - n*(xy + xz + yz) = {residual.format_text()}")
+            text.append(f"residual m*x*y*z - n*(xy + xz + yz) = {res.format_text()}")
         bad = [name for name, good in integral.items() if not good]
         if bad:
             text.append(f"not positive-integral: {', '.join(bad)}")

@@ -30,16 +30,16 @@ condition-ii family up to a bound on t, visiting only the divisors of
 with the same divisors, finding every solvable residue without deciding any.
 
 ``identity_holds`` is the one identity check: it evaluates the cleared
-identity exactly, in integers, at one more point than the degree of its
-residual, which proves the polynomial identity.  Independent verification
-routes live in the tests.
+residual exactly at lambda = 2^k (Kronecker substitution), with 2^k more
+than twice any coefficient, so the value is zero only for the zero
+polynomial; ``residual`` unpacks the same value into the residual's
+coefficients.  Independent verification routes live in the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import lcm
 
 from .base_solutions import enumerate_base_solutions
 from .intmath import divisors, divisors_from, factorize, gcd
@@ -266,35 +266,49 @@ def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
     return PolyTriple(x=x, y=y, z=z)
 
 
-def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
-    """Whether m*x*y*z = n*(x*y + x*z + y*z) holds identically in lambda.
+def _packed_residual(rc: ResidueClass, pt: PolyTriple) -> tuple[int, int]:
+    """R(2^k) and k, for R = a*b*c times the residual (Kronecker substitution).
 
-    The package's one identity check.  Over a common denominator d, x, y, z
-    have integer numerators X, Y, Z of degrees dx, dy, dz (0 if constant),
-    and d^3 times the residual is R = m*X*Y*Z - d*n*(X*Y + (X + Y)*Z).  Its
-    terms have degree at most D = dx + dy + dz and D + 1 - min(dx, dy, dz),
-    so R is zero exactly when it vanishes at lambda = 0, 1, ..., D, plus one
-    more point when some member is constant: a nonzero polynomial has no
-    more roots than its degree.  X, Y, Z are evaluated by Horner's rule, in
-    integers, and the first point where R is nonzero ends the check.
+    With x = X/a, y = Y/b, z = Z/c, R = m*X*Y*Z - n*(c*X*Y + (b*X + a*Y)*Z)
+    has integer coefficients of absolute value at most ``bound``, and k is
+    the least whole number of bytes with 2^k > 2*bound.  So R(2^k) = 0 only
+    when R = 0: in sum r_i*2^(k*i) with every |r_i| < 2^(k - 1), the top
+    nonzero term outweighs all those below it.
     """
-    polys = (pt.x, pt.y, pt.z)
-    d = lcm(pt.x.den, pt.y.den, pt.z.den)
-    X, Y, Z = ([c * (d // p.den) for c in reversed(p.nums)] for p in polys)
-    sizes = [max(len(p.nums), 1) for p in polys]
-    m, n0, n1 = rc.m, d * rc.n0, d * rc.n1
-    # D = sum(sizes) - 3; D + 1 points, and one more when a member is constant
-    for lam in range(sum(sizes) - 2 + (min(sizes) == 1)):
-        x = y = z = 0
-        for c in X:
-            x = x * lam + c
-        for c in Y:
-            y = y * lam + c
-        for c in Z:
-            z = z * lam + c
-        if m * x * y * z != (n0 + n1 * lam) * (x * y + (x + y) * z):
-            return False
-    return True
+    X, Y, Z = pt.x.nums, pt.y.nums, pt.z.nums
+    a, b, c = pt.x.den, pt.y.den, pt.z.den
+    nx, ny, nz = sum(map(abs, X)), sum(map(abs, Y)), sum(map(abs, Z))
+    bound = rc.m * nx * ny * nz + (rc.n0 + rc.n1) * (c * nx * ny + b * nx * nz + a * ny * nz)
+    k = (bound.bit_length() + 8) // 8 * 8
+    u = v = w = 0
+    for d in reversed(X):
+        u = (u << k) + d
+    for d in reversed(Y):
+        v = (v << k) + d
+    for d in reversed(Z):
+        w = (w << k) + d
+    uv = u * v
+    return rc.m * uv * w - (rc.n0 + (rc.n1 << k)) * (c * uv + (b * u + a * v) * w), k
+
+
+def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
+    """Whether m*x*y*z = n*(x*y + x*z + y*z) holds identically in lambda:
+    the package's one identity check, one exact evaluation at lambda = 2^k."""
+    return _packed_residual(rc, pt)[0] == 0
+
+
+def residual(rc: ResidueClass, pt: PolyTriple) -> RationalPoly:
+    """The residual m*x*y*z - n*(x*y + x*z + y*z), unpacked from R(2^k) in
+    linear time: adding 2^(k - 1) to each balanced base-2^k digit of R makes
+    it a k-bit unsigned field of the sum's bytes."""
+    packed, k = _packed_residual(rc, pt)
+    size, half = k // 8, 1 << (k - 1)
+    digits = len(pt.x.nums) + len(pt.y.nums) + len(pt.z.nums)
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * digits, "little")
+    raw = (packed + offset).to_bytes(size * digits, "little")
+    return RationalPoly.from_ints(
+        [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)],
+        pt.x.den * pt.y.den * pt.z.den)
 
 
 def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,6 +20,7 @@ from oracles import (
 )
 
 from trifrac.base_solutions import enumerate_base_solutions
+from trifrac.cli import main
 from trifrac.families import RoleTriple, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
 from trifrac.qpoly import RationalPoly, linear
@@ -32,6 +35,7 @@ from trifrac.theorem import (
     decide,
     enumerate_kl,
     identity_holds,
+    residual,
     search_condition_iii,
     solve_condition_ii,
     verify_identity,
@@ -240,6 +244,7 @@ def test_identity_holds_matches_exact_residual():
         (ResidueClass(4, 2, 3), construct_solution(ResidueClass(4, 2, 3), ParamSet(1, 1, 1, 1))),
     ]
     for rc, pt in cases:
+        assert residual(rc, pt) == identity_residual(rc, pt)
         assert identity_holds(rc, pt) == identity_residual(rc, pt).is_zero()
         assert identity_holds(rc, pt) == identity_holds_at_points(rc, pt)
 
@@ -328,7 +333,52 @@ def rational_triples(draw):
 @given(rational_triples())
 def test_identity_holds_agrees_with_the_residual_oracle(case):
     rc, pt = case
-    assert identity_holds(rc, pt) == identity_residual(rc, pt).is_zero()
+    expected = identity_residual(rc, pt)
+    assert residual(rc, pt) == expected
+    assert identity_holds(rc, pt) == expected.is_zero()
+
+
+BIG = 10**30
+
+
+@pytest.mark.parametrize("members", [
+    ([-14, 18], [7, -16, 9], [2, -2]),
+    ([], [7, 16, 9], [2, 2]),
+    ([Fraction(-3, 7)], [], []),
+    ([5], [7, 16, 9], [2, 2]),
+    ([3], [Fraction(11, 2)], [Fraction(-1, 3)]),
+    ([BIG - 1, -BIG], [7, BIG + 3, 9], [Fraction(BIG, 7), -2]),
+    ([-BIG], [BIG], [Fraction(-1, BIG)]),
+])
+def test_residual_matches_the_oracle_on_edge_triples(members):
+    """Negative coefficients, zero and constant members, and coefficients
+    near 10^30, where the digits of the packed value are widest."""
+    for rc in (GOLDEN_RC, ResidueClass(7, BIG + 1, BIG)):
+        pt = PolyTriple(*(RationalPoly(c) for c in members))
+        expected = identity_residual(rc, pt)
+        assert residual(rc, pt) == expected
+        assert identity_holds(rc, pt) == expected.is_zero() == identity_holds_at_points(rc, pt)
+
+
+def test_residual_of_a_large_failing_triple(capsys, tmp_path):
+    """200 coefficients of 200 digits per member: the library residual and
+    the one ``verify`` prints both equal the seven-convolution oracle's."""
+    rng = random.Random(13)
+    rc = GOLDEN_RC
+    coeffs = [[str(rng.choice((-1, 1)) * rng.randrange(10**199, 10**200)) for _ in range(200)]
+              for _ in range(3)]
+    pt = PolyTriple(*(RationalPoly.from_coeff_strings(c) for c in coeffs))
+    expected = identity_residual(rc, pt)
+    assert not expected.is_zero()
+    assert residual(rc, pt) == expected
+    triple_file = tmp_path / "triple.json"
+    triple_file.write_text(json.dumps(dict(zip("xyz", coeffs))))
+    code = main(["verify", "--m", "5", "--n0", "7", "--n1", "9",
+                 "--file", str(triple_file), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert payload["identity_holds"] is False
+    assert payload["residual"] == expected.to_coeff_strings()
 
 
 def test_every_unit_perturbation_of_a_solution_is_rejected():
