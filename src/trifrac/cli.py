@@ -52,12 +52,10 @@ EXIT_DISCREPANCY = 3
 
 # ---------------------------------------------------------------- payloads
 
-def _params_json(ps) -> dict:
-    return {"k": str(ps.k), "l": str(ps.l), "s": str(ps.s), "r": str(ps.r)}
-
-
-def _rc_json(rc: ResidueClass) -> dict:
-    return {"m": str(rc.m), "n0": str(rc.n0), "n1": str(rc.n1)}
+def _fields_json(record) -> dict:
+    """A record's fields by name, each value as a string (a residue class's
+    m/n0/n1, a parameter set's k/l/s/r, a role triple, an evidence line)."""
+    return {name: str(v) for name, v in zip(record._fields, record)}
 
 
 def _triple_json(pt: PolyTriple) -> dict:
@@ -82,22 +80,12 @@ def _table(rows: list[dict]) -> list[list[str]]:
 
 def _outcome_json(outcome: DecisionOutcome) -> dict:
     return {
-        **_rc_json(outcome.rc),
+        **_fields_json(outcome.rc),
         "status": outcome.status,
         "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in outcome.kl_pairs],
-        "solutions": [{"params": _params_json(ps), **_triple_json(pt)}
+        "solutions": [{"params": _fields_json(ps), **_triple_json(pt)}
                       for ps, pt in outcome.solutions],
-        "evidence": [
-            {
-                "k": str(ev.k),
-                "l": str(ev.l),
-                "s0": str(ev.s0),
-                "r0": str(ev.r0),
-                "family": ev.family,
-                "reason": ev.reason,
-            }
-            for ev in outcome.evidence
-        ],
+        "evidence": [_fields_json(ev) for ev in outcome.evidence],
     }
 
 
@@ -171,9 +159,9 @@ def cmd_decide(args) -> int:
         for ev in outcome.evidence:
             hit = search_condition_iii(solve_condition_ii(rc, ev.k, ev.l), args.t_max)
             searches.append({"k": str(ev.k), "l": str(ev.l), "t_max": str(args.t_max),
-                             "found": _params_json(hit) if hit else None})
+                             "found": _fields_json(hit) if hit else None})
     csv_rows = [row for ps, pt in outcome.solutions
-                for row in _triple_csv({"status": outcome.status, **_params_json(ps)}, pt)]
+                for row in _triple_csv({"status": outcome.status, **_fields_json(ps)}, pt)]
     csv_rows = csv_rows or [{"status": outcome.status}]
     _emit(args, payload, _outcome_text(outcome), _table(csv_rows))
     return EXIT_OK
@@ -228,10 +216,10 @@ def cmd_family(args) -> int:
     fam: FamilySolution = (plus_family if args.branch == "plus" else minus_family)(rc, rt)
     pt = fam.triple
     payload = {
-        **_rc_json(rc),
+        **_fields_json(rc),
         **_triple_json(pt),
         "branch": fam.branch,
-        "roles": {"x0": str(rt.x0), "y0": str(rt.y0), "z0": str(rt.z0)},
+        "roles": _fields_json(rt),
         "integral": fam.integral,
         "degenerate": fam.degenerate,
     }
@@ -308,7 +296,7 @@ def cmd_verify(args) -> int:
     integral = {name: getattr(pt, name).is_positive_integral() for name in ("x", "y", "z")}
     ok = holds and all(integral.values())
     payload = {
-        **_rc_json(rc),
+        **_fields_json(rc),
         "verified": ok,
         "identity_holds": holds,
         "integral": integral,

@@ -24,7 +24,6 @@ triple), and the all-degree-1 pattern forces m < 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,18 +51,22 @@ class RoleTriple(NamedTuple):
             )
 
 
-@dataclass(frozen=True)
-class FamilySolution:
+class FamilySolution(NamedTuple):
     branch: str  # "plus" | "minus"
     triple: PolyTriple
     integral: bool
     degenerate: bool = False  # quadratic coefficient of y vanished
 
 
-def _checked(rc: ResidueClass, branch: str, x: RationalPoly, y: RationalPoly,
-             z: RationalPoly) -> FamilySolution:
+def _checked(rc: ResidueClass, rt: RoleTriple, branch: str, x: RationalPoly,
+             y: RationalPoly, z: RationalPoly) -> FamilySolution:
+    """The branch's solution once ``identity_holds`` proves it.  Both branches
+    give x(0) = x0, y(0) = y0 and z(0) = z0, so the identity at lambda = 0 is
+    ``RoleTriple.check``'s cross-multiplied equation; only a failed identity
+    runs it, to tell a non-solving rt (ValueError) from a broken construction."""
     triple = PolyTriple(x=x, y=y, z=z)
     if not identity_holds(rc, triple):
+        rt.check(rc.m, rc.n0)
         raise ArithmeticError(f"{branch}-family construction broke the identity for {rc}")
     integral = all(p.is_positive_integral() for p in (x, y, z))
     return FamilySolution(branch=branch, triple=triple, integral=integral,
@@ -72,7 +75,8 @@ def _checked(rc: ResidueClass, branch: str, x: RationalPoly, y: RationalPoly,
 
 def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     """The plus branch through (x0, y0, z0); the one integer solutions live on."""
-    rt.check(rc.m, rc.n0)
+    if min(rt) < 1:  # before any denominator; check names the member
+        rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
     n0, n1 = rc.n0, rc.n1
     w = y0 + z0
@@ -80,23 +84,23 @@ def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     z = RationalPoly.from_ints([z0 * n0 * w, n1 * y0 * z0], n0 * w)
     y = RationalPoly.from_ints([y0 * n0 * n0 * w, y0 * n1 * n0 * (w + y0), (y0 * n1) ** 2],
                                n0 * n0 * w)
-    return _checked(rc, "plus", x, y, z)
+    return _checked(rc, rt, "plus", x, y, z)
 
 
 def minus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     """The minus branch through (x0, y0, z0); never integral when gcd(m, n1) = 1."""
-    rt.check(rc.m, rc.n0)
+    if min(rt) < 1:  # before any denominator; check names the member
+        rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
     m, n0, n1 = rc.m, rc.n0, rc.n1
     x = RationalPoly.from_ints([x0 * m * z0, n1 * (x0 + z0)], m * z0)
     z = RationalPoly.from_ints([z0 * m * x0, n1 * (x0 + z0)], m * x0)
     y = RationalPoly.from_ints([y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0),
                                 n1 * n1 * (y0 * m - n0)], n0 * n0 * m)
-    return _checked(rc, "minus", x, y, z)
+    return _checked(rc, rt, "minus", x, y, z)
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(NamedTuple):
     """Exact certificate that the degree-(1, 1, 3) pattern has no real
     solution over this base: lhs = n0^2 - (m*x0 - n0)*(m*z0 - n0) equals
     -m*n0*x0*z0/y0, which is negative."""

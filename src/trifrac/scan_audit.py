@@ -2,9 +2,10 @@
 exclusion rules, all driven by the complete decision procedure.
 
 A scan decides every residue, since its unsolvable rows carry evidence.  The
-audits need only a prime's solvable residues: ``admissible_residues`` sieves
-them out of the (k*l)^2 divisors, and ``decide`` builds and verifies each
-one's solutions (a sieved residue it calls unsolvable raises AssertionError).
+audits need only a prime's solvable residues: the sieve behind
+``admissible_residues`` finds them from the (k*l)^2 divisors, and ``decide``
+builds and verifies each one's solutions (a sieved residue it calls
+unsolvable raises AssertionError).
 
 The audits deliberately report rather than assert for m != 4: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are
@@ -16,10 +17,10 @@ together with a parameter set and triple that pass exact verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .intmath import gcd, primes_up_to
-from .theorem import DecisionOutcome, ResidueClass, admissible_residues, decide, enumerate_kl
+from .theorem import DecisionOutcome, ResidueClass, _sieve_residues, decide, enumerate_kl
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
@@ -30,14 +31,12 @@ MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n0: int
     outcome: DecisionOutcome
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     m: int
     n1: int
     rows: tuple[ScanRow, ...]
@@ -79,8 +78,7 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
     return ScanReport(m=m, n1=n1, rows=rows)
 
 
-@dataclass(frozen=True)
-class AuditInstance:
+class AuditInstance(NamedTuple):
     prime: int
     verdict: str  # "consistent" | "discrepancy"
     detail: str
@@ -88,12 +86,11 @@ class AuditInstance:
     witnesses: tuple[DecisionOutcome, ...] = ()
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     audit: str
     m: int
     bound: int
-    instances: tuple[AuditInstance, ...] = field(default=())
+    instances: tuple[AuditInstance, ...] = ()
 
     @property
     def has_discrepancy(self) -> bool:
@@ -111,10 +108,11 @@ def _check_bound(bound: int, least: int) -> None:
         raise ValueError(f"bound must be <= {MAX_AUDIT_BOUND}, got {bound}")
 
 
-def _solvable_residues(m: int, p: int):
+def _solvable_residues(m: int, p: int, kl: list[tuple[int, int]]):
     """Solvable outcomes of p's residues, ascending in n0: ``decide`` runs only
-    on the residues ``admissible_residues`` finds, and must agree."""
-    for n0 in admissible_residues(m, p):
+    on the residues the sieve finds from p's condition-i pairs ``kl``, and
+    must agree."""
+    for n0 in _sieve_residues(p, kl):
         outcome = decide(ResidueClass(m, n0, p))
         if not outcome.is_solvable():
             raise AssertionError(f"sieved residue (m, n0, n1) = ({m}, {n0}, {p}) is unsolvable")
@@ -136,7 +134,7 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
         if gcd(p, m) != 1:
             continue
         kl = enumerate_kl(m, p)
-        solvable = next(_solvable_residues(m, p), None)
+        solvable = next(_solvable_residues(m, p, kl), None)
         if m == 4 and p % 4 == 1 and kl:
             raise AssertionError(f"m = 4, p = {p} = 1 (mod 4) admitted (k, l) = {kl}")
         form_4k_minus_1 = p % 4 == 3
@@ -175,7 +173,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
         if p % 4 != 1 or gcd(p, m) != 1:
             continue
         kl = enumerate_kl(m, p)
-        witnesses = list(_solvable_residues(m, p))
+        witnesses = list(_solvable_residues(m, p, kl))
         if witnesses:
             residues = [w.rc.n0 for w in witnesses]
             instances.append(AuditInstance(

@@ -39,54 +39,62 @@ coefficients.  Independent verification routes live in the tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .base_solutions import enumerate_base_solutions
 from .intmath import divisors, divisors_from, factorize, gcd
 from .qpoly import RationalPoly, linear
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+@classmethod
+def _validated_make(cls, iterable):
+    """Build through ``__new__``, so ``_make`` and ``_replace`` validate too."""
+    return cls(*iterable)
+
+
+_ResidueClass = NamedTuple("_ResidueClass", [("m", int), ("n0", int), ("n1", int)])
+
+
+class ResidueClass(_ResidueClass):
     """The instance (m, n0, n1) defining m/(n0 + n1*lambda)."""
 
-    m: int
-    n0: int
-    n1: int
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self):
-        if self.m < 4:
-            raise ValueError(f"m must be >= 4, got {self.m}")
-        if self.n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {self.n0}")
-        if self.n1 < 2:
-            raise ValueError(f"n1 must be >= 2, got {self.n1}")
-        g = gcd(self.n0, self.n1)
+    def __new__(cls, m: int, n0: int, n1: int):
+        if m < 4:
+            raise ValueError(f"m must be >= 4, got {m}")
+        if n0 < 1:
+            raise ValueError(f"n0 must be >= 1, got {n0}")
+        if n1 < 2:
+            raise ValueError(f"n1 must be >= 2, got {n1}")
+        g = gcd(n0, n1)
         if g != 1:
-            raise ValueError(f"gcd(n0, n1) must be 1, got gcd({self.n0}, {self.n1}) = {g}")
-        g = gcd(self.n1, self.m)
+            raise ValueError(f"gcd(n0, n1) must be 1, got gcd({n0}, {n1}) = {g}")
+        g = gcd(n1, m)
         if g != 1:
-            raise ValueError(f"gcd(n1, m) must be 1, got gcd({self.n1}, {self.m}) = {g}")
+            raise ValueError(f"gcd(n1, m) must be 1, got gcd({n1}, {m}) = {g}")
+        return tuple.__new__(cls, (m, n0, n1))
 
     def n_poly(self) -> RationalPoly:
         """The denominator polynomial n(lambda) = n0 + n1*lambda."""
         return linear(self.n0, self.n1)
 
 
-@dataclass(frozen=True)
-class ParamSet:
+_ParamSet = NamedTuple("_ParamSet", [("k", int), ("l", int), ("s", int), ("r", int)])
+
+
+class ParamSet(_ParamSet):
     """A full parameter set (k, l, s, r), all positive."""
 
-    k: int
-    l: int
-    s: int
-    r: int
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self):
-        for name in ("k", "l", "s", "r"):
-            v = getattr(self, name)
+    def __new__(cls, k: int, l: int, s: int, r: int):
+        for name, v in zip(cls._fields, (k, l, s, r)):
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
+        return tuple.__new__(cls, (k, l, s, r))
 
     def check(self, rc: ResidueClass) -> None:
         """Raise unless conditions i)-iii) hold for rc."""
@@ -105,8 +113,7 @@ class ParamSet:
             )
 
 
-@dataclass(frozen=True)
-class ParamFamily:
+class ParamFamily(NamedTuple):
     """The affine line of condition-ii solutions for a fixed (k, l).
 
     s = s0 + n0*t and r = r0 + n1*t for t in Z; s0 is the minimal positive
@@ -124,15 +131,13 @@ class ParamFamily:
         return f"s = {self.s0} + {n0}t, r = {self.r0} + {n1}t"
 
 
-@dataclass(frozen=True)
-class PolyTriple:
+class PolyTriple(NamedTuple):
     x: RationalPoly
     y: RationalPoly
     z: RationalPoly
 
 
-@dataclass(frozen=True)
-class KlEvidence:
+class KlEvidence(NamedTuple):
     """Why a given (k, l) yields no solution, for unsolvable outcomes."""
 
     k: int
@@ -143,13 +148,12 @@ class KlEvidence:
     reason: str
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
+class DecisionOutcome(NamedTuple):
     rc: ResidueClass
     status: str  # "solvable" | "unsolvable"
     solutions: tuple[tuple[ParamSet, PolyTriple], ...]
     kl_pairs: tuple[tuple[int, int], ...]
-    evidence: tuple[KlEvidence, ...] = field(default=())
+    evidence: tuple[KlEvidence, ...] = ()
 
     def is_solvable(self) -> bool:
         return self.status == "solvable"
@@ -211,8 +215,13 @@ def admissible_residues(m: int, n1: int) -> list[int]:
     fixes n0 modulo n1/g, s = (k*l + r*n0)/n1 is then a positive integer,
     and n0 is kept when r | s*k*l.
     """
+    return _sieve_residues(n1, enumerate_kl(m, n1))
+
+
+def _sieve_residues(n1: int, kl_pairs: list[tuple[int, int]]) -> list[int]:
+    """The sieve of ``admissible_residues``, given condition i)'s pairs for n1."""
     found = set()
-    for k, l in enumerate_kl(m, n1):
+    for k, l in kl_pairs:
         kl = k * l
         for r in _kl_square_divisors(k, l):
             g = gcd(r, n1)
@@ -373,8 +382,7 @@ def decide(rc: ResidueClass) -> DecisionOutcome:
     )
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Sorted degree pattern of a verified triple, plus the degree of the
     auxiliary polynomial m*z*x - n*(x + z) taken with the highest-degree
     member in the y role."""

@@ -9,6 +9,7 @@ from oracles import identity_residual, poly_eval
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.families import (
     RoleTriple,
+    _checked,
     discriminant_identity,
     minus_family,
     plus_family,
@@ -57,6 +58,22 @@ def test_plus_family_non_integral_for_19():
 def test_plus_family_rejects_invalid_role_triple():
     with pytest.raises(ValueError, match="does not solve"):
         plus_family(ResidueClass(4, 3, 5), RoleTriple(2, 4, 4))
+
+
+def test_minus_family_rejects_invalid_role_triple():
+    """A positive role triple is checked only once the identity fails, and a
+    non-solving one is still reported as such, before any ArithmeticError."""
+    with pytest.raises(ValueError, match="does not solve"):
+        minus_family(ResidueClass(4, 3, 5), RoleTriple(2, 4, 4))
+    for family in (plus_family, minus_family):
+        with pytest.raises(ValueError, match="y0 must be >= 1"):
+            family(ResidueClass(4, 3, 5), RoleTriple(2, -4, 4))
+
+
+def test_broken_construction_raises_arithmetic_error():
+    x, y, z = plus_family(GOLDEN_RC, GOLDEN_RT).triple
+    with pytest.raises(ArithmeticError, match="plus-family construction broke"):
+        _checked(GOLDEN_RC, GOLDEN_RT, "plus", x, y, z + linear(0, 1))
 
 
 def test_minus_family_golden_coefficients():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -58,6 +59,32 @@ def test_residue_class_validation_messages():
         ResidueClass(5, 6, 9)
     with pytest.raises(ValueError, match="gcd\\(n1, m\\)"):
         ResidueClass(4, 7, 10)
+
+
+def test_records_validate_on_every_construction_path():
+    """``_replace`` and ``_make`` rebuild a record through ``__new__``: each
+    raises the ValueError that direct construction raises."""
+    cases = [
+        (lambda: GOLDEN_RC._replace(n0=0), lambda: ResidueClass(5, 0, 9)),
+        (lambda: GOLDEN_RC._replace(n0=3), lambda: ResidueClass(5, 3, 9)),
+        (lambda: ParamSet._make((0, 1, 1, 1)), lambda: ParamSet(0, 1, 1, 1)),
+    ]
+    for build, direct in cases:
+        with pytest.raises(ValueError) as want:
+            direct()
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    assert ResidueClass(m=5, n0=7, n1=9) == GOLDEN_RC == (5, 7, 9)
+    assert ParamSet(k=2, l=1, s=1, r=1) == ParamSet._make((2, 1, 1, 1))
+    assert GOLDEN_RC._replace(n0=4) == ResidueClass(5, 4, 9)
+    for record in (GOLDEN_RC, ParamSet(2, 1, 1, 1)):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+    for record, name in ((GOLDEN_RC, "n0"), (ParamSet(2, 1, 1, 1), "r"),
+                         (decide(GOLDEN_RC), "status")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
 
 
 # ------------------------------------------------------------ condition i
