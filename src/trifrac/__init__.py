@@ -36,7 +36,6 @@ from .theorem import (
     enumerate_kl,
     identity_holds,
     residual,
-    search_condition_iii,
     solve_condition_ii,
     verify_identity,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "primes_up_to",
     "residual",
     "scan_residues",
-    "search_condition_iii",
     "solve_condition_ii",
     "verify_identity",
 ]

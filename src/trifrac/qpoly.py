@@ -67,6 +67,10 @@ class RationalPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the guarded setattr
+        return RationalPoly.from_ints, (list(self.nums), self.den)
+
     @property
     def degree(self) -> int | None:
         """Index of the last nonzero coefficient; None for the zero polynomial."""

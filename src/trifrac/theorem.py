@@ -24,10 +24,9 @@ lambda = 0 instance, so scanning the triples through k*n0 yields a complete,
 certifiable answer.  Conditions i) and ii) already force that z0, so iii)
 needs no test of its own, and a failed (k, l) has one of two reasons: no
 triple member s*n0 (no qualifying base triple), or none with a positive
-integer r (no condition-ii positivity).  ``search_condition_iii`` walks the
-condition-ii family up to a bound on t, visiting only the divisors of
-(k*l)^2, as a cross-check.  ``admissible_residues`` sieves a whole modulus
-with the same divisors, finding every solvable residue without deciding any.
+integer r (no condition-ii positivity).  ``admissible_residues`` sieves a
+whole modulus with the divisors r of (k*l)^2 that iii) forces, finding every
+solvable residue without deciding any.
 
 ``identity_holds`` is the one identity check: it evaluates the cleared
 residual exactly at lambda = 2^k (Kronecker substitution), with 2^k more
@@ -200,12 +199,6 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
     return ParamFamily(k=k, l=l, s0=s0, r0=r0, step=(n0, n1))
 
 
-def _kl_square_divisors(k: int, l: int) -> list[int]:
-    """The divisors of (k*l)^2, ascending, factored through k and l."""
-    factors = Counter(factorize(k)) + Counter(factorize(l))
-    return divisors_from({p: 2 * e for p, e in factors.items()})
-
-
 def admissible_residues(m: int, n1: int) -> list[int]:
     """Every n0 in [1, n1) coprime to n1 whose class is solvable, ascending.
 
@@ -223,7 +216,8 @@ def _sieve_residues(n1: int, kl_pairs: list[tuple[int, int]]) -> list[int]:
     found = set()
     for k, l in kl_pairs:
         kl = k * l
-        for r in _kl_square_divisors(k, l):
+        factors = Counter(factorize(k)) + Counter(factorize(l))  # of k*l, never factored whole
+        for r in divisors_from({p: 2 * e for p, e in factors.items()}):
             g = gcd(r, n1)
             if kl % g:
                 continue
@@ -233,32 +227,6 @@ def _sieve_residues(n1: int, kl_pairs: list[tuple[int, int]]) -> list[int]:
                 if gcd(n0, n1) == 1 and (kl + r * n0) // n1 * kl % r == 0:
                     found.add(n0)
     return sorted(found)
-
-
-def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
-    """Smallest t in [0, t_max] meeting condition iii, or None.
-
-    On the line, s*n1 = k*l + r*n0 gives k*l = s*n1 (mod r), so r | s*k*l
-    forces r | (k*l)^2 (factored through k and l).  The walk visits those
-    divisors with r = r0 (mod n1) in ascending order, as r grows with t.  A
-    family off condition ii, or with a nonpositive step, raises ValueError.
-    A miss up to t_max certifies nothing; ``decide`` gives the complete answer.
-    """
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    k, l, s0, r0 = fam.k, fam.l, fam.s0, fam.r0
-    n0, n1 = fam.step
-    if n0 < 1 or n1 < 1 or s0 * n1 != k * l + r0 * n0:
-        raise ValueError(f"{fam.describe()} with (k, l) = ({k}, {l}) is not a condition-ii family")
-    r_max = r0 + n1 * t_max
-    for r in _kl_square_divisors(k, l):
-        if r > r_max:
-            break
-        t, off = divmod(r - r0, n1)
-        s = s0 + n0 * t
-        if off == 0 and t >= 0 and s >= 1 and (s * k * l) % r == 0:
-            return ParamSet(k=k, l=l, s=s, r=r)
-    return None
 
 
 def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:

@@ -2,7 +2,7 @@
 
 None of these share code with the production checks: they evaluate
 pointwise with ``Fraction``, multiply out coefficient lists, trial-divide,
-or walk a search space exhaustively.
+or walk a search space exhaustively or along a bounded family.
 """
 
 from __future__ import annotations
@@ -144,3 +144,31 @@ def enumerate_condition_iii(fam: ParamFamily, t_max: int) -> list[ParamSet]:
         if (s * fam.k * fam.l) % r == 0:
             out.append(ParamSet(k=fam.k, l=fam.l, s=s, r=r))
     return out
+
+
+def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
+    """Smallest t in [0, t_max] meeting condition iii, or None.
+
+    On the line, s*n1 = k*l + r*n0 gives k*l = s*n1 (mod r), so r | s*k*l
+    forces r | (k*l)^2.  The walk visits those divisors (products of two
+    trial divisors of k*l) with r = r0 (mod n1) in ascending order, as r
+    grows with t.  A family off condition ii, or with a nonpositive step,
+    raises ValueError.  A miss up to t_max certifies nothing by itself; for
+    an unsolvable class ``decide`` says no t at all meets condition iii.
+    """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    k, l, s0, r0 = fam.k, fam.l, fam.s0, fam.r0
+    n0, n1 = fam.step
+    if n0 < 1 or n1 < 1 or s0 * n1 != k * l + r0 * n0:
+        raise ValueError(f"{fam.describe()} with (k, l) = ({k}, {l}) is not a condition-ii family")
+    r_max = r0 + n1 * t_max
+    divs = trial_divisors(k * l)
+    for r in sorted({d1 * d2 for d1 in divs for d2 in divs}):
+        if r > r_max:
+            break
+        t, off = divmod(r - r0, n1)
+        s = s0 + n0 * t
+        if off == 0 and t >= 0 and s >= 1 and (s * k * l) % r == 0:
+            return ParamSet(k=k, l=l, s=s, r=r)
+    return None

@@ -6,7 +6,12 @@ from __future__ import annotations
 import json
 
 from acceptance_report import criterion
-from oracles import enumerate_condition_iii, identity_holds_at_points, identity_residual
+from oracles import (
+    enumerate_condition_iii,
+    identity_holds_at_points,
+    identity_residual,
+    search_condition_iii,
+)
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main as cli_main
 from trifrac.families import RoleTriple, discriminant_identity, minus_family, plus_family
@@ -19,7 +24,6 @@ from trifrac.theorem import (
     analyze_degrees,
     decide,
     enumerate_kl,
-    search_condition_iii,
     solve_condition_ii,
     verify_identity,
 )

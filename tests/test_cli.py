@@ -12,12 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import search_condition_iii
 
 from trifrac.base_solutions import MAX_BASE_WALKS, enumerate_base_solutions
-from trifrac.cli import _json, build_parser, main
+from trifrac.cli import DEFAULT_T_MAX, _json, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
+from trifrac.theorem import solve_condition_ii
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
 
@@ -62,6 +64,46 @@ def test_decide_unsolvable_evidence(capsys):
     (search,) = payload["family_search"]
     assert search["found"] is None
     assert search["t_max"] == "10000"
+
+
+@pytest.mark.parametrize("t_max", [0, 3, None])  # None: the default bound
+def test_decide_family_search_echoes_the_complete_decision(capsys, small_grid, t_max):
+    """One family_search entry per evidence (k, l), with the bound echoed and
+    found equal to the bounded (k*l)^2 walk of the oracle: null."""
+    bound = DEFAULT_T_MAX if t_max is None else t_max
+    extra = [] if t_max is None else ["--t-max", str(t_max)]
+    unsolvable = 0
+    for rc in small_grid:
+        code, out, _ = run(capsys, ["decide", "--m", str(rc.m), "--n0", str(rc.n0),
+                                    "--n1", str(rc.n1), "--format", "json", *extra])
+        assert code == 0
+        payload = json.loads(out)
+        if payload["status"] == "solvable":
+            assert "family_search" not in payload
+            continue
+        unsolvable += 1
+        searches = payload["family_search"]
+        assert [(e["k"], e["l"]) for e in searches] == [
+            (ev["k"], ev["l"]) for ev in payload["evidence"]]
+        for entry in searches:
+            k, l = int(entry["k"]), int(entry["l"])
+            hit = search_condition_iii(solve_condition_ii(rc, k, l), bound)
+            assert entry == {"k": str(k), "l": str(l), "t_max": str(bound), "found": hit}
+            assert hit is None
+    assert unsolvable > 100
+
+
+def test_decide_highly_composite_modulus_reports_every_pair(capsys):
+    # n1 = 3^4*5^2*7*11*13*17*19*23*29 has 960 (k, l) pairs for m = 4, whose
+    # (k*l)^2 have 15.1 M divisors in all: family_search must not walk them
+    code, out, _ = run(capsys, ["decide", "--m", "4", "--n0", "1", "--n1", "436704293025",
+                                "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "unsolvable"
+    searches = payload["family_search"]
+    assert len(searches) == len(payload["evidence"]) == len(payload["kl_pairs"]) == 960
+    assert all(entry["found"] is None for entry in searches)
 
 
 def test_decide_rejects_invalid_instance(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,6 +19,7 @@ from oracles import (
     identity_residual,
     is_quadratic_residue,
     poly_eval,
+    search_condition_iii,
 )
 
 from trifrac.base_solutions import enumerate_base_solutions
@@ -25,6 +27,7 @@ from trifrac.cli import main
 from trifrac.families import RoleTriple, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
 from trifrac.qpoly import RationalPoly, linear
+from trifrac.scan_audit import scan_residues
 from trifrac.theorem import (
     ParamFamily,
     ParamSet,
@@ -37,7 +40,6 @@ from trifrac.theorem import (
     enumerate_kl,
     identity_holds,
     residual,
-    search_condition_iii,
     solve_condition_ii,
     verify_identity,
 )
@@ -85,6 +87,22 @@ def test_records_validate_on_every_construction_path():
                          (decide(GOLDEN_RC), "status")):
         with pytest.raises(AttributeError):
             setattr(record, name, 1)
+
+
+def test_records_survive_pickle_and_deepcopy():
+    """Every record, polynomials inside it included, round-trips through
+    pickle and copy.deepcopy, and RationalPoly stays immutable."""
+    poly = RationalPoly([Fraction(1, 2), 3, Fraction(-5, 6)])
+    outcome = decide(GOLDEN_RC)
+    records = [poly, outcome.solutions[0][1], outcome,
+               plus_family(GOLDEN_RC, RoleTriple(x0=14, y0=7, z0=2)), scan_residues(5, 9)]
+    for record in records:
+        for copy in (pickle.loads(pickle.dumps(record)), deepcopy(record)):
+            assert copy == record and type(copy) is type(record)
+    with pytest.raises(AttributeError, match="immutable"):
+        poly.den = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        deepcopy(poly).nums = ()
 
 
 # ------------------------------------------------------------ condition i
