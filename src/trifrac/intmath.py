@@ -25,9 +25,8 @@ _TRIAL_BOUND = 1000
 _RHO_BATCH = 128
 
 
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor, with gcd(0, 0) = 0."""
-    return math.gcd(a, b)
+# Nonnegative greatest common divisor, with gcd(0, 0) = 0.
+gcd = math.gcd
 
 
 def _is_prime(n: int) -> bool:

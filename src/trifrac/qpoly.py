@@ -23,10 +23,14 @@ _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 # Longest coefficient string ``from_coeff_strings`` parses; well inside
 # int()'s default 4300-digit conversion limit.
 MAX_COEFF_CHARS = 1000
-# Most coefficients per polynomial.  At both limits (2-core Xeon, Python 3.11)
-# `verify` takes 0.1 s on a solution and 24 s on a failing triple, nearly all
-# of it multiplying the packed polynomials of the identity check.
+# Most coefficients per polynomial, and most digits of its common denominator.
+# At all three limits (2-core Xeon, Python 3.11) `verify` takes 0.1 s on a
+# solution and 35 s on a failing triple, nearly all of it multiplying the
+# packed polynomials of the identity check.  For small m, n0 and n1 the
+# residual's numerators then have at most 3*(1000 + 300) + 5 digits, under
+# int()'s 4300-digit conversion limit.
 MAX_COEFFS = 1000
+MAX_DEN_DIGITS = 300
 
 
 def _coeff_str(num: int, den: int) -> str:
@@ -142,7 +146,12 @@ class RationalPoly:
                 raise ValueError(f"coefficient {reprlib.repr(s)} is not an integer or p/q "
                                  f"(q > 0) of at most {MAX_COEFF_CHARS} characters")
             pairs.append((int(match[1]), int(match[2] or 1)))
-        den = lcm(*(q for _, q in pairs))
+        den = 1
+        for _, q in pairs:
+            den = lcm(den, q)
+            if den >= 10 ** MAX_DEN_DIGITS:
+                raise ValueError(f"common denominator of more than {MAX_DEN_DIGITS} digits; "
+                                 f"at most {MAX_DEN_DIGITS} are accepted")
         return cls.from_ints([p * (den // q) for p, q in pairs], den)
 
     def format_text(self, var: str = "λ") -> str:

@@ -3,9 +3,9 @@ exclusion rules, all driven by the complete decision procedure.
 
 A scan decides every residue, since its unsolvable rows carry evidence.  The
 audits need only a prime's solvable residues: the sieve behind
-``admissible_residues`` finds them from the (k*l)^2 divisors, and ``decide``
-builds and verifies each one's solutions (a sieved residue it calls
-unsolvable raises AssertionError).
+``admissible_residues`` marks n0 = -k*h^-1 (mod p) for the divisors h of k^2
+(the lemma in ``theorem``), and ``decide`` builds and verifies each one's
+solutions (a sieved residue it calls unsolvable raises AssertionError).
 
 The audits deliberately report rather than assert for m != 4: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are

@@ -16,17 +16,19 @@ and in that case the solution is
     z = (k*l/r)*(s + r*lambda)
     y = (n0 + n1*lambda)*(s + r*lambda).
 
-Conditions i) and ii) are cheap to search (divisor enumeration plus a linear
-congruence).  ``decide`` routes through the finite base-solution oracle:
-every admissible parameter set corresponds to a role assignment
-(x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of a positive triple solving the
-lambda = 0 instance, so scanning the triples through k*n0 yields a complete,
-certifiable answer.  Conditions i) and ii) already force that z0, so iii)
-needs no test of its own, and a failed (k, l) has one of two reasons: no
-triple member s*n0 (no qualifying base triple), or none with a positive
-integer r (no condition-ii positivity).  ``admissible_residues`` sieves a
-whole modulus with the divisors r of (k*l)^2 that iii) forces, finding every
-solvable residue without deciding any.
+With P = m*k - 1, conditions ii) and iii) have a closed form (the lemma):
+(k, l, s, r) meets them exactly when r = l*h for a divisor h of k^2 with
+n0*h = -k (mod P), and then s = (n0*h + k)/P.  Proof: i) turns ii) into
+l*(s*P - k) = r*n0, and gcd(l, n0) = 1 since l | n1, so r = l*h with
+n0*h = s*P - k.  Then iii) is h | s*k; as s*P = k (mod h) and
+gcd(h, P) = gcd(k, P) = 1 for h | k^2, h | s*k is h | k^2.  Conversely any
+such h gives a positive integer s, and r = l*h meets ii) and iii).
+
+``decide`` walks the finite set of base triples of the lambda = 0 instance
+through x0 = k*n0, since every parameter set is a role assignment
+(x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of one, so an empty walk certifies
+unsolvability.  ``admissible_residues`` sieves a whole modulus by the lemma
+without deciding any residue.
 
 ``identity_holds`` is the one identity check: it evaluates the cleared
 residual exactly at lambda = 2^k (Kronecker substitution), with 2^k more
@@ -37,7 +39,6 @@ coefficients.  Independent verification routes live in the tests.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .base_solutions import enumerate_base_solutions
@@ -190,10 +191,7 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
     (so s0 = 1 when n0 = 1) and r0 = (s0*n1 - k*l)/n0 may be <= 0.
     """
     n0, n1 = rc.n0, rc.n1
-    inv = pow(n1, -1, n0) if n0 > 1 else 0
-    s0 = (k * l * inv) % n0 if n0 > 1 else 0
-    if s0 == 0:
-        s0 = n0
+    s0 = k * l * pow(n1, -1, n0) % n0 or n0
     r0 = (s0 * n1 - k * l) // n0
     assert s0 * n1 == k * l + r0 * n0
     return ParamFamily(k=k, l=l, s0=s0, r0=r0, step=(n0, n1))
@@ -202,11 +200,9 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
 def admissible_residues(m: int, n1: int) -> list[int]:
     """Every n0 in [1, n1) coprime to n1 whose class is solvable, ascending.
 
-    Conditions ii) and iii) force r | (k*l)^2, since (k*l)^2 =
-    k*l*(s*n1 - r*n0) = s*k*l*n1 = 0 (mod r).  For each (k, l) of condition
-    i) and each such r with g = gcd(r, n1) dividing k*l, r*n0 = -k*l (mod n1)
-    fixes n0 modulo n1/g, s = (k*l + r*n0)/n1 is then a positive integer,
-    and n0 is kept when r | s*k*l.
+    By the lemma in the module docstring, these are the n0 coprime to n1
+    with n0 = -k*h^-1 (mod m*k - 1) for some (k, l) of condition i) and
+    some divisor h of k^2.
     """
     return _sieve_residues(n1, enumerate_kl(m, n1))
 
@@ -215,16 +211,11 @@ def _sieve_residues(n1: int, kl_pairs: list[tuple[int, int]]) -> list[int]:
     """The sieve of ``admissible_residues``, given condition i)'s pairs for n1."""
     found = set()
     for k, l in kl_pairs:
-        kl = k * l
-        factors = Counter(factorize(k)) + Counter(factorize(l))  # of k*l, never factored whole
-        for r in divisors_from({p: 2 * e for p, e in factors.items()}):
-            g = gcd(r, n1)
-            if kl % g:
-                continue
-            step = n1 // g
-            first = -(kl // g) * pow(r // g, -1, step) % step
-            for n0 in range(first or step, n1, step):
-                if gcd(n0, n1) == 1 and (kl + r * n0) // n1 * kl % r == 0:
+        p = n1 // l
+        hs = divisors_from({q: 2 * e for q, e in factorize(k).items()})
+        for first in {-k * pow(h, -1, p) % p for h in hs}:
+            for n0 in range(first, n1, p):
+                if gcd(n0, n1) == 1:
                     found.add(n0)
     return sorted(found)
 
@@ -304,10 +295,10 @@ def decide(rc: ResidueClass) -> DecisionOutcome:
     for s = y0/n0.  Condition iii) then holds by itself: the third member is
     z0 = k*s*n0/((m*k - 1)*s - k), and i) turns ii) into
     (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The accepted sets are thus
-    exactly those satisfying i)-iii), an empty sweep certifies
-    unsolvability, and no two share a triple.  A failed (k, l) reports
-    REASON_CONDITION_II when some y0 was divisible by n0, else
-    REASON_NO_BASE_TRIPLE.
+    exactly those of the lemma in the module docstring, in (k, l) order and
+    then by h = r/l descending; an empty sweep certifies unsolvability, and
+    no two share a triple.  A failed (k, l) reports REASON_CONDITION_II
+    when some y0 was divisible by n0, else REASON_NO_BASE_TRIPLE.
     """
     n0 = rc.n0
     kl_pairs = enumerate_kl(rc.m, rc.n1)

@@ -8,7 +8,7 @@ or walk a search space exhaustively or along a bounded family.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from trifrac.base_solutions import BaseTriple
 from trifrac.qpoly import RationalPoly
@@ -99,6 +99,36 @@ def trial_divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def kl_square_sieve(m: int, n1: int) -> list[int]:
+    """Every n0 in [1, n1) coprime to n1 whose class is solvable, ascending,
+    by the (k*l)^2 route with an explicit condition-iii test.
+
+    For each (k, l) with l*(m*k - 1) = n1 (trial division), conditions ii)
+    and iii) force r | (k*l)^2, since (k*l)^2 = k*l*(s*n1 - r*n0) = 0
+    (mod r).  For each such r (a product of two trial divisors of k*l) with
+    g = gcd(r, n1) dividing k*l, r*n0 = -k*l (mod n1) fixes n0 modulo n1/g,
+    s = (k*l + r*n0)/n1 is then a positive integer, and n0 is kept when
+    r | s*k*l.
+    """
+    found = set()
+    for l in trial_divisors(n1):
+        k, off = divmod(n1 // l + 1, m)
+        if off:
+            continue
+        kl = k * l
+        divs = trial_divisors(kl)
+        for r in {d1 * d2 for d1 in divs for d2 in divs}:
+            g = gcd(r, n1)
+            if kl % g:
+                continue
+            step = n1 // g
+            first = -(kl // g) * pow(r // g, -1, step) % step
+            for n0 in range(first or step, n1, step):
+                if gcd(n0, n1) == 1 and (kl + r * n0) // n1 * kl % r == 0:
+                    found.add(n0)
+    return sorted(found)
 
 
 def member_walk_oracle(m: int, n0: int, member: int) -> tuple[BaseTriple, ...]:

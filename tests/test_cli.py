@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -359,6 +360,9 @@ def test_verify_reports_json_parse_position(capsys, tmp_path):
     assert "line" in err
 
 
+_RNG = random.Random(1)
+
+
 def _triple_with_x(coeff: str) -> str:
     return json.dumps({"x": [coeff, "18"], "y": ["7", "16", "9"], "z": ["2", "2"]})
 
@@ -371,6 +375,9 @@ def _triple_with_x(coeff: str) -> str:
     )),
     pytest.param(json.dumps({"x": ["1"] * (MAX_COEFFS + 1), "y": ["7", "16", "9"],
                              "z": ["2", "2"]}), id="x=too many coefficients"),
+    # 40 coefficients 1/q per member, q of 40 digits: the lcm passes MAX_DEN_DIGITS
+    pytest.param(json.dumps({v: [f"1/{_RNG.randrange(10 ** 39, 10 ** 40)}" for _ in range(40)]
+                             for v in "xyz"}), id="40 distinct 40-digit denominators"),
 ])
 def test_verify_rejects_malformed_file(capsys, tmp_path, content):
     triple_file = tmp_path / "triple.json"

@@ -3,11 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import poly_eval
 
-from trifrac.qpoly import RationalPoly, linear
+from trifrac.qpoly import MAX_DEN_DIGITS, RationalPoly, linear
 
 ZERO = RationalPoly()
 ONE = RationalPoly([1])
@@ -134,6 +135,16 @@ def test_coeff_string_serialization():
     q = RationalPoly([7, Fraction(9, 5)])
     assert q.to_coeff_strings() == ["7", "9/5"]
     assert RationalPoly.from_coeff_strings(["7", "9/5"]) == q
+
+
+def test_common_denominator_digit_limit():
+    widest = 10 ** MAX_DEN_DIGITS - 1
+    assert RationalPoly.from_coeff_strings(["1", f"1/{widest}"]).den == widest
+    # the limit is on the lcm, so factors that each fit may still exceed it
+    q = 10 ** (MAX_DEN_DIGITS // 2 + 1)
+    for items in (["1", f"1/{widest + 1}"], [f"1/{q - 1}", f"1/{q + 1}"]):
+        with pytest.raises(ValueError, match=f"at most {MAX_DEN_DIGITS} are accepted"):
+            RationalPoly.from_coeff_strings(items)
 
 
 @given(polys)

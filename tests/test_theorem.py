@@ -18,8 +18,10 @@ from oracles import (
     identity_holds_at_points,
     identity_residual,
     is_quadratic_residue,
+    kl_square_sieve,
     poly_eval,
     search_condition_iii,
+    trial_divisors,
 )
 
 from trifrac.base_solutions import enumerate_base_solutions
@@ -579,6 +581,42 @@ def test_admissible_residues_match_decide_on_the_grid():
         solvable = [n0 for n0 in range(1, n1)
                     if gcd(n0, n1) == 1 and decide(ResidueClass(m, n0, n1)).is_solvable()]
         assert admissible_residues(m, n1) == solvable, (m, n1)
+
+
+def test_admissible_residues_match_the_kl_square_route():
+    moduli = [(4, 45045), (4, 4389), (5, 4389)]
+    moduli += [(m, n1) for m in range(4, 8) for n1 in range(260, 700)
+               if gcd(m, n1) == 1 and len(enumerate_kl(m, n1)) > 1]
+    assert max(len(enumerate_kl(m, n1)) for m, n1 in moduli) == 24  # (4, 45045)
+    for m, n1 in moduli:
+        assert admissible_residues(m, n1) == kl_square_sieve(m, n1), (m, n1)
+
+
+def lemma_param_sets(rc: ResidueClass) -> list[ParamSet]:
+    """The parameter sets of the lemma in ``theorem``'s docstring: for each
+    (k, l) in ``enumerate_kl`` order and each divisor h of k^2, descending,
+    with n0*h = -k (mod P), P = m*k - 1, the set (k, l, (n0*h + k)/P, l*h)."""
+    out = []
+    for k, l in enumerate_kl(rc.m, rc.n1):
+        p = rc.m * k - 1
+        for h in reversed(trial_divisors(k * k)):
+            s, off = divmod(rc.n0 * h + k, p)
+            if not off:
+                out.append(ParamSet(k, l, s, l * h))
+    return out
+
+
+def test_decide_solutions_are_the_lemma_sets():
+    grid = [ResidueClass(m, n0, n1) for m in range(4, 9) for n1 in range(2, 100)
+            if gcd(m, n1) == 1 for n0 in range(1, 3 * n1) if gcd(n0, n1) == 1]
+    assert len(grid) == 31_800
+    assert sum(rc.n0 > rc.n1 for rc in grid) > len(grid) // 2
+    several = 0
+    for rc in grid:
+        expected = lemma_param_sets(rc)
+        assert [ps for ps, _ in decide(rc).solutions] == expected, rc
+        several += len(expected) > 1
+    assert several == 708  # classes with more than one parameter set
 
 
 # ------------------------------------------------------------ degrees
