@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .base_solutions import enumerate_base_solutions
 from .families import FamilySolution, RoleTriple, minus_family, plus_family
-from .qpoly import RationalPoly
+from .qpoly import _MAX_ARG_DIGITS, RationalPoly
 from .scan_audit import (
     AuditReport,
     audit_condition_i,
@@ -383,10 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_digits(args) -> None:
+    """Refuse an --m, --n0 or --n1 of more than _MAX_ARG_DIGITS digits."""
+    for flag in ("m", "n0", "n1"):
+        value = getattr(args, flag, None)
+        if value is not None and abs(value) >= 10**_MAX_ARG_DIGITS:
+            raise ValueError(f"--{flag} has {len(str(abs(value)))} digits; "
+                             f"at most {_MAX_ARG_DIGITS} are accepted")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_digits(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,11 +26,14 @@ MAX_COEFF_CHARS = 1000
 # Most coefficients per polynomial, and most digits of its common denominator.
 # At all three limits (2-core Xeon, Python 3.11) `verify` takes 0.1 s on a
 # solution and 35 s on a failing triple, nearly all of it multiplying the
-# packed polynomials of the identity check.  For small m, n0 and n1 the
-# residual's numerators then have at most 3*(1000 + 300) + 5 digits, under
-# int()'s 4300-digit conversion limit.
+# packed polynomials of the identity check.
 MAX_COEFFS = 1000
 MAX_DEN_DIGITS = 300
+# Most digits of the m, n0 and n1 the CLI accepts, checked before any
+# arithmetic.  At every limit above, a failing verify's residual numerators
+# have at most 3*(1000 + 300) + 5 + 100 digits, under int()'s 4300-digit
+# conversion limit: 4,005 with 100-digit m, n0 and n1 (46 s, 112 MB).
+_MAX_ARG_DIGITS = 100
 
 
 def _coeff_str(num: int, den: int) -> str:

@@ -101,6 +101,20 @@ def trial_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def trial_factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes ascending, by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def kl_square_sieve(m: int, n1: int) -> list[int]:
     """Every n0 in [1, n1) coprime to n1 whose class is solvable, ascending,
     by the (k*l)^2 route with an explicit condition-iii test.

@@ -389,6 +389,41 @@ def test_verify_rejects_malformed_file(capsys, tmp_path, content):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+# one (m, n0, n1) per flag: that flag at 100 digits, the class still valid
+_WIDE = 10**100 - 1
+_WIDE_ARGS = {"m": (_WIDE, 7, 13), "n0": (5, _WIDE, 7), "n1": (7, 13, _WIDE)}
+
+
+@pytest.mark.parametrize("flag", list(_WIDE_ARGS))
+def test_verify_argument_digit_limit(capsys, tmp_path, flag):
+    triple_file = tmp_path / "triple.json"
+    triple_file.write_text(json.dumps({"x": ["10"], "y": ["10"], "z": ["10"]}))
+
+    def verify(m, n0, n1):
+        return run(capsys, ["verify", "--m", str(m), "--n0", str(n0), "--n1", str(n1),
+                            "--file", str(triple_file), "--format", "json"])
+
+    # 100 digits are accepted: the identity fails and the residual prints
+    code, out, err = verify(*_WIDE_ARGS[flag])
+    assert code == 3 and err == ""
+    assert json.loads(out)["residual"]
+    # 101 digits are refused before any arithmetic
+    one_more = [v + 1 if v == _WIDE else v for v in _WIDE_ARGS[flag]]
+    code, out, err = verify(*one_more)
+    assert code == 2 and out == ""
+    assert err == f"error: --{flag} has 101 digits; at most 100 are accepted\n"
+
+
+def test_verify_refuses_an_m_of_4299_digits(capsys, tmp_path):
+    # the residual would pass CPython's 4300-digit string conversion limit
+    triple_file = tmp_path / "triple.json"
+    triple_file.write_text(json.dumps({"x": ["10"], "y": ["10"], "z": ["10"]}))
+    code, out, err = run(capsys, ["verify", "--m", str(10**4298 + 1), "--n0", "7", "--n1", "9",
+                                  "--file", str(triple_file)])
+    assert code == 2 and out == ""
+    assert err == "error: --m has 4299 digits; at most 100 are accepted\n"
+
+
 def test_verify_json_payload_degrees(capsys, tmp_path):
     triple_file = tmp_path / "triple.json"
     triple_file.write_text(json.dumps({"x": ["14", "18"], "y": ["7", "16", "9"],

@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import is_quadratic_residue, trial_divisors
+from oracles import is_quadratic_residue, trial_divisors, trial_factorize
 
-from trifrac.intmath import FACTOR_LIMIT, divisors, factorize, gcd, primes_up_to
+from trifrac.intmath import (
+    _MR_ROWS,
+    FACTOR_LIMIT,
+    _is_prime,
+    divisors,
+    factorize,
+    gcd,
+    primes_up_to,
+)
 
 
 def test_gcd_examples():
@@ -64,10 +72,16 @@ def test_divisors_match_trial_division_oracle(n):
     (561, {3: 1, 11: 1, 17: 1}),
     (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
     (825265, {5: 1, 7: 1, 17: 1, 19: 1, 73: 1}),
-    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2..37
+    # least strong pseudoprimes to the first t primes (psi_t, t = 3..12); all
+    # but psi_4 leave a cofactor that reaches Miller-Rabin
+    (25326001, {2251: 1, 11251: 1}),
     (3215031751, {151: 1, 751: 1, 28351: 1}),
+    (2152302898747, {6763: 1, 10627: 1, 29947: 1}),
+    (3474749660383, {1303: 1, 16927: 1, 157543: 1}),
+    (341550071728321, {10670053: 1, 32010157: 1}),
     (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
-    # powers of primes beyond trial division
+    (318665857834031151167461, {399165290221: 1, 798330580441: 1}),
+    # powers of primes above 1000
     ((10**12 + 39) ** 2, {10**12 + 39: 2}),
     (1000003**3, {1000003: 3}),
     (2**80, {2: 80}),
@@ -79,6 +93,28 @@ def test_divisors_match_trial_division_oracle(n):
 def test_factorize_hard_cases(n, expected):
     assert factorize(n) == expected
     assert divisors(n)[-1] == n
+
+
+def test_factorize_matches_trial_division_below_200000():
+    for n in range(1, 200_000):
+        assert list(factorize(n).items()) == list(trial_factorize(n).items()), n
+
+
+# psi_t is the least strong pseudoprime to the first t primes.  psi_2, psi_3
+# and psi_4 sit at the bottom of the rows that test 3, 4 and 5 bases, and
+# psi_5 .. psi_12 inside the row that tests all 13, so a row whose bound were
+# inclusive, or which tested one base fewer, would call one of these prime.
+@pytest.mark.parametrize("psi", [
+    1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])
+def test_miller_rabin_rejects_each_least_pseudoprime(psi):
+    assert not _is_prime(psi)
+
+
+def test_miller_rabin_rows_end_at_the_limit():
+    # all 13 bases 2..41 are proven exact exactly below FACTOR_LIMIT
+    assert _MR_ROWS[-1] == (FACTOR_LIMIT, 13)
 
 
 def test_factorize_rejects_out_of_range():
