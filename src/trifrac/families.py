@@ -24,11 +24,13 @@ triple), and the all-degree-1 pattern forces m < 4.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .qpoly import RationalPoly
 from .theorem import PolyTriple, ResidueClass, identity_holds
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RoleTriple(NamedTuple):
@@ -64,13 +66,12 @@ def _checked(rc: ResidueClass, rt: RoleTriple, branch: str, x: RationalPoly,
     give x(0) = x0, y(0) = y0 and z(0) = z0, so the identity at lambda = 0 is
     ``RoleTriple.check``'s cross-multiplied equation; only a failed identity
     runs it, to tell a non-solving rt (ValueError) from a broken construction."""
-    triple = PolyTriple(x=x, y=y, z=z)
+    triple = PolyTriple(x, y, z)
     if not identity_holds(rc, triple):
         rt.check(rc.m, rc.n0)
         raise ArithmeticError(f"{branch}-family construction broke the identity for {rc}")
-    integral = all(p.is_positive_integral() for p in (x, y, z))
-    return FamilySolution(branch=branch, triple=triple, integral=integral,
-                          degenerate=y.degree is not None and y.degree < 2)
+    integral = x.is_positive_integral() and y.is_positive_integral() and z.is_positive_integral()
+    return FamilySolution(branch, triple, integral, 0 < len(y.nums) < 3)
 
 
 def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
@@ -78,7 +79,7 @@ def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     if min(rt) < 1:  # before any denominator; check names the member
         rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
-    n0, n1 = rc.n0, rc.n1
+    _, n0, n1 = rc
     w = y0 + z0
     x = RationalPoly.from_ints([x0 * n0, x0 * n1], n0)
     z = RationalPoly.from_ints([z0 * n0 * w, n1 * y0 * z0], n0 * w)
@@ -92,7 +93,7 @@ def minus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     if min(rt) < 1:  # before any denominator; check names the member
         rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
-    m, n0, n1 = rc.m, rc.n0, rc.n1
+    m, n0, n1 = rc
     x = RationalPoly.from_ints([x0 * m * z0, n1 * (x0 + z0)], m * z0)
     z = RationalPoly.from_ints([z0 * m * x0, n1 * (x0 + z0)], m * x0)
     y = RationalPoly.from_ints([y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0),
@@ -112,6 +113,7 @@ class DiscriminantReport(NamedTuple):
 
 
 def discriminant_identity(rc: ResidueClass, rt: RoleTriple) -> DiscriminantReport:
+    from fractions import Fraction  # only here, so importing the CLI skips fractions
     rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
     m, n0 = rc.m, rc.n0

@@ -1,22 +1,25 @@
 """Dense univariate polynomials over the rationals, in the variable lambda.
 
-A polynomial is stored as integer numerators ``nums`` (constant term first)
-over one positive common denominator ``den``.  Every constructor reduces to
-a canonical form: the last numerator is nonzero and gcd(den, *nums) = 1, so
-equal polynomials have equal fields.  The zero polynomial is ``nums = ()``,
-``den = 1`` and its degree is None.  All arithmetic is integer arithmetic,
-and degrees stay small, so a dense representation is the right one.
+A polynomial is the NamedTuple record ``(nums, den)``: integer numerators
+``nums`` (constant term first) over one positive common denominator ``den``.
+It unpacks as ``nums, den = p`` and equals the plain tuple ``(nums, den)``.
+Every constructor reduces to a canonical form: the last numerator is nonzero
+and gcd(den, *nums) = 1, so equal polynomials have equal fields.  The zero
+polynomial is ``nums = ()``, ``den = 1`` and its degree is None.  All
+arithmetic is integer arithmetic, and degrees stay small, so a dense
+representation is the right one.
 """
 
 from __future__ import annotations
 
 import re
 import reprlib
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-Coeff = Union[int, Fraction]
+if TYPE_CHECKING:  # coefficients are read duck-typed: .numerator, .denominator
+    from fractions import Fraction
+    Coeff = int | Fraction
 
 # What ``to_coeff_strings`` writes: an integer or p/q with q > 0, ASCII digits.
 _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
@@ -42,40 +45,41 @@ def _coeff_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-class RationalPoly:
+_RationalPoly = NamedTuple("_RationalPoly", [("nums", tuple[int, ...]), ("den", int)])
+
+
+class RationalPoly(_RationalPoly):
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
+    def __new__(cls, coeffs: Iterable[Coeff] = ()):
         cs = list(coeffs)
         den = lcm(*(c.denominator for c in cs))
-        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+        return cls.from_ints([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def from_ints(cls, nums: Iterable[int], den: int = 1) -> "RationalPoly":
         """The polynomial with coefficients nums[i]/den, constant term first."""
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
-        self = cls.__new__(cls)
-        self._store(list(nums), den)
-        return self
-
-    def _store(self, nums: list[int], den: int) -> None:
+        nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         g = gcd(den, *nums)
         if g > 1:
-            nums = [c // g for c in nums]
-            den //= g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+            return tuple.__new__(cls, (tuple([c // g for c in nums]), den // g))
+        return tuple.__new__(cls, (tuple(nums), den))
+
+    @classmethod
+    def _make(cls, iterable) -> "RationalPoly":  # canonical; _replace calls it too
+        nums, den = iterable
+        return cls.from_ints(nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
 
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not the guarded setattr
+    def __reduce__(self):  # pickle and copy rebuild through from_ints too
         return RationalPoly.from_ints, (list(self.nums), self.den)
 
     @property
@@ -89,18 +93,11 @@ class RationalPoly:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (den // other.den) for c in other.nums]
+        (a, da), (b, db) = self, other
+        den = lcm(da, db)
+        a = [c * (den // da) for c in a]
+        b = [c * (den // db) for c in b]
         if len(a) < len(b):
             a, b = b, a
         for i, c in enumerate(b):
@@ -114,11 +111,15 @@ class RationalPoly:
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums):
-                out[i + j] += a * b
-        return RationalPoly.from_ints(out, self.den * other.den)
+        (a, da), (b, db) = self, other
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return RationalPoly.from_ints(out, da * db)
+
+    def __rmul__(self, other):  # never tuple repetition: 2 * p is a TypeError
+        return NotImplemented
 
     def scale(self, factor: Coeff) -> "RationalPoly":
         return RationalPoly.from_ints([factor.numerator * c for c in self.nums],
@@ -166,16 +167,9 @@ class RationalPoly:
             coeff = _coeff_str(abs(c), self.den)
             if c % self.den:
                 coeff = f"({coeff})"
-            if i == 0:
-                term = coeff
-            elif i == 1:
-                term = f"{coeff}{var}"
-            else:
-                term = f"{coeff}{var}^{i}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+            term = coeff + ("" if i == 0 else var if i == 1 else f"{var}^{i}")
+            sign = "+" if c > 0 else "-"
+            parts.append(f"{sign} {term}" if parts else term if c > 0 else f"-{term}")
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:

@@ -54,7 +54,7 @@ class ScanReport(NamedTuple):
 
 def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanReport:
     """Run ``decide`` for every residue n0 coprime to n1 (or a given subset),
-    in ascending order of n0."""
+    in ascending order of n0, with condition i)'s pairs found once."""
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
     if n1 < 2:
@@ -74,7 +74,8 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
             if gcd(n0, n1) != 1:
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
-    rows = tuple(ScanRow(n0=n0, outcome=decide(ResidueClass(m, n0, n1))) for n0 in residues)
+    kl = enumerate_kl(m, n1)
+    rows = tuple(ScanRow(n0, decide(ResidueClass(m, n0, n1), kl_pairs=kl)) for n0 in residues)
     return ScanReport(m=m, n1=n1, rows=rows)
 
 
@@ -113,7 +114,7 @@ def _solvable_residues(m: int, p: int, kl: list[tuple[int, int]]):
     on the residues the sieve finds from p's condition-i pairs ``kl``, and
     must agree."""
     for n0 in _sieve_residues(p, kl):
-        outcome = decide(ResidueClass(m, n0, p))
+        outcome = decide(ResidueClass(m, n0, p), kl_pairs=kl)
         if not outcome.is_solvable():
             raise AssertionError(f"sieved residue (m, n0, n1) = ({m}, {n0}, {p}) is unsolvable")
         yield outcome
@@ -203,8 +204,9 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
             continue
-        direct = decide(ResidueClass(m, 1, p))
-        shifted = decide(ResidueClass(m, p + 1, p))
+        kl = enumerate_kl(m, p)
+        direct = decide(ResidueClass(m, 1, p), kl_pairs=kl)
+        shifted = decide(ResidueClass(m, p + 1, p), kl_pairs=kl)
         solvable = [o for o in (direct, shifted) if o.is_solvable()]
         if solvable:
             instances.append(AuditInstance(

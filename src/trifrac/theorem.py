@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .base_solutions import enumerate_base_solutions
 from .intmath import divisors, divisors_from, factorize, gcd
-from .qpoly import RationalPoly, linear
+from .qpoly import RationalPoly
 
 
 @classmethod
@@ -78,7 +78,7 @@ class ResidueClass(_ResidueClass):
 
     def n_poly(self) -> RationalPoly:
         """The denominator polynomial n(lambda) = n0 + n1*lambda."""
-        return linear(self.n0, self.n1)
+        return RationalPoly.from_ints([self.n0, self.n1])
 
 
 _ParamSet = NamedTuple("_ParamSet", [("k", int), ("l", int), ("s", int), ("r", int)])
@@ -227,11 +227,11 @@ def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
     condition iii makes every coefficient a positive integer.
     """
     ps.check(rc)
-    k, l, s, r = ps.k, ps.l, ps.s, ps.r
-    x = linear(k * rc.n0, k * rc.n1)
-    z = linear(s * k * l // r, k * l)
-    y = rc.n_poly() * linear(s, r)
-    return PolyTriple(x=x, y=y, z=z)
+    k, l, s, r = ps
+    x = RationalPoly.from_ints([k * rc.n0, k * rc.n1])
+    z = RationalPoly.from_ints([s * k * l // r, k * l])
+    y = rc.n_poly() * RationalPoly.from_ints([s, r])
+    return PolyTriple(x, y, z)
 
 
 def _packed_residual(rc: ResidueClass, pt: PolyTriple) -> tuple[int, int]:
@@ -243,10 +243,10 @@ def _packed_residual(rc: ResidueClass, pt: PolyTriple) -> tuple[int, int]:
     when R = 0: in sum r_i*2^(k*i) with every |r_i| < 2^(k - 1), the top
     nonzero term outweighs all those below it.
     """
-    X, Y, Z = pt.x.nums, pt.y.nums, pt.z.nums
-    a, b, c = pt.x.den, pt.y.den, pt.z.den
+    m, n0, n1 = rc
+    (X, a), (Y, b), (Z, c) = pt
     nx, ny, nz = sum(map(abs, X)), sum(map(abs, Y)), sum(map(abs, Z))
-    bound = rc.m * nx * ny * nz + (rc.n0 + rc.n1) * (c * nx * ny + b * nx * nz + a * ny * nz)
+    bound = m * nx * ny * nz + (n0 + n1) * (c * nx * ny + b * nx * nz + a * ny * nz)
     k = (bound.bit_length() + 8) // 8 * 8
     u = v = w = 0
     for d in reversed(X):
@@ -256,7 +256,7 @@ def _packed_residual(rc: ResidueClass, pt: PolyTriple) -> tuple[int, int]:
     for d in reversed(Z):
         w = (w << k) + d
     uv = u * v
-    return rc.m * uv * w - (rc.n0 + (rc.n1 << k)) * (c * uv + (b * u + a * v) * w), k
+    return m * uv * w - (n0 + (n1 << k)) * (c * uv + (b * u + a * v) * w), k
 
 
 def identity_holds(rc: ResidueClass, pt: PolyTriple) -> bool:
@@ -286,7 +286,7 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
             and pt.z.is_positive_integral() and identity_holds(rc, pt))
 
 
-def decide(rc: ResidueClass) -> DecisionOutcome:
+def decide(rc: ResidueClass, *, kl_pairs: list[tuple[int, int]] | None = None) -> DecisionOutcome:
     """Complete decision for the residue class.
 
     For each (k, l) from condition i), walk the base triples of m/n0 through
@@ -298,10 +298,11 @@ def decide(rc: ResidueClass) -> DecisionOutcome:
     exactly those of the lemma in the module docstring, in (k, l) order and
     then by h = r/l descending; an empty sweep certifies unsolvability, and
     no two share a triple.  A failed (k, l) reports REASON_CONDITION_II
-    when some y0 was divisible by n0, else REASON_NO_BASE_TRIPLE.
+    when some y0 was divisible by n0, else REASON_NO_BASE_TRIPLE.  A sweep
+    of one modulus passes its ``kl_pairs`` (``enumerate_kl(m, n1)``) in.
     """
     n0 = rc.n0
-    kl_pairs = enumerate_kl(rc.m, rc.n1)
+    kl_pairs = enumerate_kl(rc.m, rc.n1) if kl_pairs is None else kl_pairs
     solutions: list[tuple[ParamSet, PolyTriple]] = []
     evidence: list[KlEvidence] = []
 

@@ -495,10 +495,12 @@ def test_main_in_one_process_matches_lone_runs():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Records are NamedTuples: importing the CLI pulls in neither
-    ``dataclasses`` nor the ``inspect`` it loads."""
+    ``dataclasses`` nor the ``inspect`` it loads.  Coefficients are read
+    duck-typed, so it loads neither ``fractions`` nor its ``decimal``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = ("import sys; before = set(sys.modules); import trifrac.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+             " & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import build_grid
 from oracles import identity_residual, poly_eval
 
 from trifrac.base_solutions import enumerate_base_solutions
@@ -115,6 +116,50 @@ def test_plus_family_matches_theorem_construction(small_grid):
             fam = plus_family(rc, rt)
             assert fam.integral
             assert fam.triple == pt
+
+
+def _docstring_branches(m: int, n0: int, rt: RoleTriple):
+    """The plus and minus branches through rt, straight from the formulas in
+    the ``families`` docstring in Fraction arithmetic.  Every term there has
+    as many factors n1 as lambdas, so each member is a list of c_i whose
+    lambda^i coefficient at modulus n1 is c_i * n1^i."""
+    x0, y0, z0 = rt
+    t, u, w = Fraction(1, n0), Fraction(1, m), y0 + z0  # n1/n0 = n1*t, n1/m = n1*u
+    plus = ([x0, x0 * t],
+            [y0, y0 * t * (1 + Fraction(y0, w)), (y0 * t) ** 2 / w],
+            [z0, t * Fraction(y0 * z0, w)])
+    minus = ([x0, u * Fraction(x0 + z0, z0)],
+             [y0, 2 * y0 * t - u, t * (y0 * t - u)],
+             [z0, u * Fraction(x0 + z0, x0)])
+    return plus, minus
+
+
+def test_families_match_docstring_formulas_on_grid():
+    """Every coefficient and the integral flag of both branches, for every
+    role assignment on the m 4..8, n1 <= 40 grid.  No branch is degenerate:
+    the plus quadratic is a positive square over y0 + z0, and the minus one
+    vanishes only when y0*m = n0, which would force 1/x0 + 1/z0 = 0."""
+    branches = {}
+    families = 0
+    for rc in build_grid(n1_max=40):
+        key = rc.m, rc.n0
+        if key not in branches:
+            branches[key] = [(rt, _docstring_branches(*key, rt))
+                             for bt in enumerate_base_solutions(*key)
+                             for rt in map(RoleTriple._make, bt.role_assignments())]
+        n1 = rc.n1
+        for rt, both in branches[key]:
+            for family, members in zip((plus_family, minus_family), both):
+                fam = family(rc, rt)
+                want = [[c * n1 ** i for i, c in enumerate(cs)] for cs in members]
+                for (nums, den), cs in zip(fam.triple, want):
+                    assert len(nums) == len(cs), (rc, rt, fam.branch)
+                    assert all(a * c.denominator == c.numerator * den
+                               for a, c in zip(nums, cs)), (rc, rt, fam.branch)
+                assert fam.integral == all(c.denominator == 1 and c > 0 for cs in want for c in cs)
+                assert want[1][2] != 0 and not fam.degenerate
+                families += 1
+    assert families == 169_748
 
 
 def test_swapping_x_and_z_roles_gives_the_third_branch():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -59,12 +61,54 @@ def test_immutability_and_hash():
     p = linear(1, 2)
     q = linear(1, 2)
     assert p == q and hash(p) == hash(q)
-    try:
-        p.coeffs = ()
-        raised = False
-    except AttributeError:
-        raised = True
-    assert raised
+    for name in ("nums", "den", "coeffs"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, ())
+
+
+def test_record_unpacks_and_equals_the_plain_tuple():
+    p = RationalPoly([7, Fraction(9, 5)])
+    nums, den = p
+    assert (nums, den) == ((35, 9), 5) == p
+    assert hash(p) == hash(((35, 9), 5))
+    assert not ZERO and ZERO == ((), 1)  # a 2-tuple, yet false when zero
+
+
+def test_no_tuple_repetition():
+    p = linear(1, 2)
+    with pytest.raises(TypeError):
+        2 * p
+    with pytest.raises(TypeError):
+        p * 2
+
+
+def test_make_and_replace_stay_canonical():
+    made = RationalPoly._make(((2, 4), 6))
+    assert made == RationalPoly.from_ints([2, 4], 6) == ((1, 2), 3)
+    assert type(made) is RationalPoly
+    assert linear(1, 2)._replace(den=4) == RationalPoly([Fraction(1, 4), Fraction(1, 2)])
+    assert linear(1, 2)._replace(nums=(6, 4, 0), den=2) == linear(3, 2)
+    for bad in (((1,), 0), ((1,), -3)):
+        with pytest.raises(ValueError, match="denominator must be >= 1"):
+            RationalPoly._make(bad)
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        linear(1, 2)._replace(den=0)
+
+
+def test_pickle_and_copies_rebuild_through_from_ints(monkeypatch):
+    p = RationalPoly([3, Fraction(1, 2)])
+    data = pickle.dumps(p)
+    built = []
+    from_ints = RationalPoly.from_ints.__func__
+
+    def recording(cls, nums, den=1):
+        built.append((list(nums), den))
+        return from_ints(cls, nums, den)
+
+    monkeypatch.setattr(RationalPoly, "from_ints", classmethod(recording))
+    for q in (pickle.loads(data), copy.deepcopy(p), copy.copy(p)):
+        assert q == p and type(q) is RationalPoly
+    assert built == [([6, 1], 2)] * 3
 
 
 @given(polys, polys, polys)

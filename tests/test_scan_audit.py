@@ -10,7 +10,14 @@ from trifrac.scan_audit import (
     audit_corollary4,
     scan_residues,
 )
-from trifrac.theorem import DecisionOutcome, ParamSet, ResidueClass, decide, verify_identity
+from trifrac.theorem import (
+    DecisionOutcome,
+    ParamSet,
+    ResidueClass,
+    decide,
+    enumerate_kl,
+    verify_identity,
+)
 
 
 def test_scan_5_mod_9():
@@ -43,9 +50,7 @@ def test_scan_residue_subset_validation():
 def test_scan_rows_reproducible_by_decide():
     report = scan_residues(5, 9)
     for row in report.rows:
-        again = decide(ResidueClass(5, row.n0, 9))
-        assert again.status == row.outcome.status
-        assert again.solutions == row.outcome.solutions
+        assert decide(ResidueClass(5, row.n0, 9)) == row.outcome
 
 
 def test_audit_condition_i_m4():
@@ -60,14 +65,47 @@ def test_audit_condition_i_m4():
 
 
 def _record_decided(monkeypatch) -> list[ResidueClass]:
+    """The classes scans and audits hand to ``decide``, in order; each call
+    must pass its modulus's condition-i pairs, found once per modulus."""
     decided = []
 
-    def recording(rc):
+    def recording(rc, **kwargs):
+        assert kwargs == {"kl_pairs": enumerate_kl(rc.m, rc.n1)}
         decided.append(rc)
-        return decide(rc)
+        return decide(rc, **kwargs)
 
     monkeypatch.setattr(scan_audit, "decide", recording)
     return decided
+
+
+def _count_enumerate_kl(monkeypatch) -> list[int]:
+    moduli = []
+
+    def counting(m, n1):
+        moduli.append(n1)
+        return enumerate_kl(m, n1)
+
+    monkeypatch.setattr(scan_audit, "enumerate_kl", counting)
+    return moduli
+
+
+def test_scan_finds_condition_i_once_per_modulus(monkeypatch):
+    decided = _record_decided(monkeypatch)
+    moduli = _count_enumerate_kl(monkeypatch)
+    report = scan_residues(4, 443)
+    assert decided == [ResidueClass(4, row.n0, 443) for row in report.rows]
+    assert moduli == [443]
+    scan_residues(4, 443, residues=[1, 2, 3])
+    assert moduli == [443, 443] and len(decided) == len(report.rows) + 3
+
+
+def test_audits_find_condition_i_once_per_prime(monkeypatch):
+    _record_decided(monkeypatch)
+    moduli = _count_enumerate_kl(monkeypatch)
+    for audit in (audit_condition_i, audit_corollary3, audit_corollary4):
+        moduli.clear()
+        report = audit(5, 200)
+        assert moduli == [inst.prime for inst in report.instances]
 
 
 def test_audit_condition_i_skips_primes_without_kl(monkeypatch):
@@ -94,7 +132,8 @@ def test_audit_condition_i_decides_at_most_once_per_prime(monkeypatch):
 
 
 def test_audit_rejects_a_sieved_residue_decide_calls_unsolvable(monkeypatch):
-    monkeypatch.setattr(scan_audit, "decide", lambda rc: DecisionOutcome(rc, "unsolvable", (), ()))
+    monkeypatch.setattr(scan_audit, "decide",
+                        lambda rc, **_: DecisionOutcome(rc, "unsolvable", (), ()))
     with pytest.raises(AssertionError, match="sieved residue"):
         audit_corollary3(5, 29)
 
