@@ -161,15 +161,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors_from(factors: dict[int, int]) -> list[int]:
-    """All positive divisors of the product of p**e over factors, ascending."""
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p ** i for i in range(e + 1) for d in divs]
-    return sorted(divs)
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of 1 <= n < FACTOR_LIMIT, ascending."""
-    return divisors_from(factorize(n))
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p ** i for i in range(e + 1) for d in divs]
+    return sorted(divs)
 

@@ -5,7 +5,8 @@ A scan decides every residue, since its unsolvable rows carry evidence.  The
 audits need only a prime's solvable residues: the sieve behind
 ``admissible_residues`` marks n0 = -k*h^-1 (mod p) for the divisors h of k^2
 (the lemma in ``theorem``), and ``decide`` builds and verifies each one's
-solutions (a sieved residue it calls unsolvable raises AssertionError).
+solutions from the same ``_lemma_pairs`` (a sieved residue it calls
+unsolvable raises AssertionError).
 
 The audits deliberately report rather than assert for m != 4: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are
@@ -20,12 +21,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .intmath import gcd, primes_up_to
-from .theorem import DecisionOutcome, ResidueClass, _sieve_residues, decide, enumerate_kl
+from .theorem import DecisionOutcome, ResidueClass, _lemma_pairs, _sieve_residues, decide
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 takes 10 s at 220 MB; at bound 10000,
-# audit corollary 3 (m = 5) takes 1.7 s at 52 MB and the others under 0.5 s.
+# full JSON scan of m = 4, n1 = 49999 takes 2.3 s at 210 MB; at bound 10000,
+# audit corollary 3 (m = 5) takes 0.6 s at 50 MB and the others under 0.2 s.
 # Audit output is built whole, so the bound stays until it is streamed.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
@@ -54,7 +55,7 @@ class ScanReport(NamedTuple):
 
 def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanReport:
     """Run ``decide`` for every residue n0 coprime to n1 (or a given subset),
-    in ascending order of n0, with condition i)'s pairs found once."""
+    in ascending order of n0, with ``_lemma_pairs`` found once."""
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
     if n1 < 2:
@@ -74,8 +75,8 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
             if gcd(n0, n1) != 1:
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
-    kl = enumerate_kl(m, n1)
-    rows = tuple(ScanRow(n0, decide(ResidueClass(m, n0, n1), kl_pairs=kl)) for n0 in residues)
+    pairs = _lemma_pairs(m, n1)
+    rows = tuple(ScanRow(n0, decide(ResidueClass(m, n0, n1), pairs=pairs)) for n0 in residues)
     return ScanReport(m=m, n1=n1, rows=rows)
 
 
@@ -109,12 +110,12 @@ def _check_bound(bound: int, least: int) -> None:
         raise ValueError(f"bound must be <= {MAX_AUDIT_BOUND}, got {bound}")
 
 
-def _solvable_residues(m: int, p: int, kl: list[tuple[int, int]]):
+def _solvable_residues(m: int, p: int, pairs: list):
     """Solvable outcomes of p's residues, ascending in n0: ``decide`` runs only
-    on the residues the sieve finds from p's condition-i pairs ``kl``, and
-    must agree."""
-    for n0 in _sieve_residues(p, kl):
-        outcome = decide(ResidueClass(m, n0, p), kl_pairs=kl)
+    on the residues the sieve finds from p's ``_lemma_pairs``, and must
+    agree."""
+    for n0 in _sieve_residues(p, pairs):
+        outcome = decide(ResidueClass(m, n0, p), pairs=pairs)
         if not outcome.is_solvable():
             raise AssertionError(f"sieved residue (m, n0, n1) = ({m}, {n0}, {p}) is unsolvable")
         yield outcome
@@ -134,8 +135,9 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
             continue
-        kl = enumerate_kl(m, p)
-        solvable = next(_solvable_residues(m, p, kl), None)
+        pairs = _lemma_pairs(m, p)
+        kl = [pair[:2] for pair in pairs]
+        solvable = next(_solvable_residues(m, p, pairs), None)
         if m == 4 and p % 4 == 1 and kl:
             raise AssertionError(f"m = 4, p = {p} = 1 (mod 4) admitted (k, l) = {kl}")
         form_4k_minus_1 = p % 4 == 3
@@ -173,20 +175,21 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if p % 4 != 1 or gcd(p, m) != 1:
             continue
-        kl = enumerate_kl(m, p)
-        witnesses = list(_solvable_residues(m, p, kl))
+        pairs = _lemma_pairs(m, p)
+        kl = tuple(pair[:2] for pair in pairs)
+        witnesses = list(_solvable_residues(m, p, pairs))
         if witnesses:
             residues = [w.rc.n0 for w in witnesses]
             instances.append(AuditInstance(
                 prime=p, verdict="discrepancy",
                 detail=f"p = {p} = 1 (mod 4) has solvable residues {residues}",
-                kl_pairs=tuple(kl), witnesses=tuple(witnesses),
+                kl_pairs=kl, witnesses=tuple(witnesses),
             ))
         else:
             instances.append(AuditInstance(
                 prime=p, verdict="consistent",
                 detail=f"p = {p}: no residue admits an integer polynomial solution",
-                kl_pairs=tuple(kl),
+                kl_pairs=kl,
             ))
     return AuditReport(audit="corollary-3", m=m, bound=bound, instances=tuple(instances))
 
@@ -204,9 +207,9 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
             continue
-        kl = enumerate_kl(m, p)
-        direct = decide(ResidueClass(m, 1, p), kl_pairs=kl)
-        shifted = decide(ResidueClass(m, p + 1, p), kl_pairs=kl)
+        pairs = _lemma_pairs(m, p)
+        direct = decide(ResidueClass(m, 1, p), pairs=pairs)
+        shifted = decide(ResidueClass(m, p + 1, p), pairs=pairs)
         solvable = [o for o in (direct, shifted) if o.is_solvable()]
         if solvable:
             instances.append(AuditInstance(

@@ -22,13 +22,22 @@ n0*h = -k (mod P), and then s = (n0*h + k)/P.  Proof: i) turns ii) into
 l*(s*P - k) = r*n0, and gcd(l, n0) = 1 since l | n1, so r = l*h with
 n0*h = s*P - k.  Then iii) is h | s*k; as s*P = k (mod h) and
 gcd(h, P) = gcd(k, P) = 1 for h | k^2, h | s*k is h | k^2.  Conversely any
-such h gives a positive integer s, and r = l*h meets ii) and iii).
+such h gives a positive integer s, and r = l*h meets ii) and iii).  Call
+n0 admitted at (k, l) when such an h exists.
 
-``decide`` walks the finite set of base triples of the lambda = 0 instance
-through x0 = k*n0, since every parameter set is a role assignment
-(x0, y0, z0) = (k*n0, s*n0, s*k*l/r) of one, so an empty walk certifies
-unsolvability.  ``admissible_residues`` sieves a whole modulus by the lemma
-without deciding any residue.
+Every parameter set is a role assignment (x0, y0, z0) = (k*n0, s*n0,
+s*k*l/r) of a base triple of the lambda = 0 instance through x0 = k*n0, so
+``decide`` walks those triples only where the lemma admits n0 (and finds a
+set there).  Elsewhere it reports why (k, l) fails, by the reason rule:
+another member y0 of a triple through x0 is divisible by n0 exactly when
+some divisor f of n0 is admitted at (k, l).
+Proof: with Q = k*n0, 1/y0 + 1/z0 = m/n0 - 1/Q = P/Q in lowest terms
+(gcd(P, k) = gcd(P, n0) = 1 as P | n1), so the members through x0 are the
+(d + Q)/P over the d | Q^2 with d = -Q (mod P).  As gcd(n0, P) = 1, n0
+divides one exactly when n0 | d, i.e. d = n0*F with F | k^2*n0 and
+F = -k (mod P).  Such F are the products h*f with h | k^2, f | n0 and
+f*h = -k (mod P), which is f admitted.  ``admissible_residues`` sieves a
+whole modulus by the lemma without deciding any residue.
 
 ``identity_holds`` is the one identity check: it evaluates the cleared
 residual exactly at lambda = 2^k (Kronecker substitution), with 2^k more
@@ -42,7 +51,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .base_solutions import enumerate_base_solutions
-from .intmath import divisors, divisors_from, factorize, gcd
+from .intmath import divisors, factorize, gcd
 from .qpoly import RationalPoly
 
 
@@ -162,6 +171,10 @@ class DecisionOutcome(NamedTuple):
 REASON_NO_BASE_TRIPLE = "no qualifying base triple"
 REASON_CONDITION_II = "no condition-ii positivity"
 
+# Most residues ``_lemma_pairs`` keeps in one (k, l)'s targets: far above
+# d(k^2) <= 567 in a full scan and 3,645 in the benchmark's decides.
+_TARGET_SET_MAX = 1 << 16
+
 
 def enumerate_kl(m: int, n1: int) -> list[tuple[int, int]]:
     """All positive (k, l) with l*(m*k - 1) = n1, ordered by l ascending.
@@ -204,16 +217,43 @@ def admissible_residues(m: int, n1: int) -> list[int]:
     with n0 = -k*h^-1 (mod m*k - 1) for some (k, l) of condition i) and
     some divisor h of k^2.
     """
-    return _sieve_residues(n1, enumerate_kl(m, n1))
+    return _sieve_residues(n1, _lemma_pairs(m, n1))
 
 
-def _sieve_residues(n1: int, kl_pairs: list[tuple[int, int]]) -> list[int]:
-    """The sieve of ``admissible_residues``, given condition i)'s pairs for n1."""
-    found = set()
-    for k, l in kl_pairs:
+def _times_powers(values: set[int], a: int, e: int, p: int) -> set[int]:
+    """{v*a^i mod p : v in values, 0 <= i <= e}."""
+    out = set(values)
+    for _ in range(e):
+        values = {v * a % p for v in values}
+        out |= values
+    return out
+
+
+def _lemma_pairs(m: int, n1: int) -> list[tuple[int, int, int, set[int], set[int]]]:
+    """``enumerate_kl(m, n1)`` as tuples (k, l, p, shifts, targets), p = n1/l,
+    with n0 admitted at (k, l) iff n0*a mod p is in targets for some a in
+    shifts.  The lemma's classes -k*h^-1 mod p, h | k^2, are built prime
+    power by prime power: q^e || k spreads the targets by q^-i, i <= 2e, or,
+    should that take them past _TARGET_SET_MAX, the shifts by q^i instead."""
+    out = []
+    for k, l in enumerate_kl(m, n1):
         p = n1 // l
-        hs = divisors_from({q: 2 * e for q, e in factorize(k).items()})
-        for first in {-k * pow(h, -1, p) % p for h in hs}:
+        shifts, targets = {1}, {-k % p}
+        for q, e in factorize(k).items():
+            if len(targets) * (2 * e + 1) <= _TARGET_SET_MAX:
+                targets = _times_powers(targets, pow(q, -1, p), 2 * e, p)
+            else:
+                shifts = _times_powers(shifts, q, 2 * e, p)
+        out.append((k, l, p, shifts, targets))
+    return out
+
+
+def _sieve_residues(n1: int, pairs: list[tuple[int, int, int, set[int], set[int]]]) -> list[int]:
+    """The sieve of ``admissible_residues``, given ``_lemma_pairs`` for n1."""
+    found = set()
+    for _, _, p, shifts, targets in pairs:
+        inverses = [pow(a, -1, p) for a in shifts]
+        for first in {t * b % p for b in inverses for t in targets}:
             for n0 in range(first, n1, p):
                 if gcd(n0, n1) == 1:
                     found.add(n0)
@@ -286,38 +326,38 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
             and pt.z.is_positive_integral() and identity_holds(rc, pt))
 
 
-def decide(rc: ResidueClass, *, kl_pairs: list[tuple[int, int]] | None = None) -> DecisionOutcome:
+def decide(rc: ResidueClass, *, pairs: list | None = None) -> DecisionOutcome:
     """Complete decision for the residue class.
 
-    For each (k, l) from condition i), walk the base triples of m/n0 through
-    x0 = k*n0 (a divisor walk) and try each other member y0, ascending and
-    once: accept when n0 | y0 and r = (s*n1 - k*l)/n0 is a positive integer
-    for s = y0/n0.  Condition iii) then holds by itself: the third member is
-    z0 = k*s*n0/((m*k - 1)*s - k), and i) turns ii) into
-    (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The accepted sets are thus
-    exactly those of the lemma in the module docstring, in (k, l) order and
-    then by h = r/l descending; an empty sweep certifies unsolvability, and
-    no two share a triple.  A failed (k, l) reports REASON_CONDITION_II
-    when some y0 was divisible by n0, else REASON_NO_BASE_TRIPLE.  A sweep
-    of one modulus passes its ``kl_pairs`` (``enumerate_kl(m, n1)``) in.
+    Each (k, l) of condition i) that admits n0 (the lemma in the module
+    docstring) walks the base triples of m/n0 through x0 = k*n0 and tries
+    each other member y0, ascending and once: it accepts when n0 | y0 and
+    r = (s*n1 - k*l)/n0 is a positive integer for s = y0/n0.  Condition iii)
+    holds by itself: the third member is z0 = k*s*n0/((m*k - 1)*s - k), and
+    i) turns ii) into (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The
+    accepted sets are those of the lemma, in (k, l) order and then by
+    h = r/l descending, no two sharing a triple; an admitted (k, l) that
+    accepts nothing raises AssertionError.  An unsolvable class reports
+    REASON_CONDITION_II for a (k, l) that admits a divisor of n0 (the
+    reason rule), else REASON_NO_BASE_TRIPLE.  A sweep of one modulus
+    passes its ``pairs`` (``_lemma_pairs(m, n1)``) in.
     """
-    n0 = rc.n0
-    kl_pairs = enumerate_kl(rc.m, rc.n1) if kl_pairs is None else kl_pairs
+    m, n0, n1 = rc
+    pairs = _lemma_pairs(m, n1) if pairs is None else pairs
     solutions: list[tuple[ParamSet, PolyTriple]] = []
-    evidence: list[KlEvidence] = []
 
-    for k, l in kl_pairs:
+    for k, l, p, shifts, targets in pairs:
+        if targets.isdisjoint([n0 * a % p for a in shifts]):
+            continue
         found = len(solutions)
-        divisible = False
-        for bt in enumerate_base_solutions(rc.m, n0, k * n0):
+        for bt in enumerate_base_solutions(m, n0, k * n0):
             rest = list(bt)
             rest.remove(k * n0)
             for y0 in dict.fromkeys(rest):
                 s, off = divmod(y0, n0)
                 if off:
                     continue
-                divisible = True
-                r, off = divmod(s * rc.n1 - k * l, n0)
+                r, off = divmod(s * n1 - k * l, n0)
                 if off or r < 1:
                     continue
                 ps = ParamSet(k=k, l=l, s=s, r=r)
@@ -326,20 +366,17 @@ def decide(rc: ResidueClass, *, kl_pairs: list[tuple[int, int]] | None = None) -
                     raise AssertionError(f"accepted parameter set {ps} failed verification")
                 solutions.append((ps, pt))
         if len(solutions) == found:
-            fam = solve_condition_ii(rc, k, l)
-            reason = REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE
-            evidence.append(
-                KlEvidence(k=k, l=l, s0=fam.s0, r0=fam.r0, family=fam.describe(), reason=reason)
-            )
+            raise AssertionError(f"(k, l) = ({k}, {l}) admits n0 = {n0}, yet its walk accepts nothing")
 
-    status = "solvable" if solutions else "unsolvable"
-    return DecisionOutcome(
-        rc=rc,
-        status=status,
-        solutions=tuple(solutions),
-        kl_pairs=tuple(kl_pairs),
-        evidence=tuple(evidence) if status == "unsolvable" else (),
-    )
+    evidence = []
+    n0_divisors = divisors(n0) if pairs and not solutions else ()
+    for k, l, p, shifts, targets in () if solutions else pairs:
+        fam = solve_condition_ii(rc, k, l)
+        divisible = any(f * a % p in targets for f in n0_divisors for a in shifts)
+        evidence.append(KlEvidence(k, l, fam.s0, fam.r0, fam.describe(),
+                                   REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE))
+    return DecisionOutcome(rc, "solvable" if solutions else "unsolvable", tuple(solutions),
+                           tuple([pair[:2] for pair in pairs]), tuple(evidence))
 
 
 class DegreeReport(NamedTuple):

@@ -2,7 +2,10 @@
 
 None of these share code with the production checks: they evaluate
 pointwise with ``Fraction``, multiply out coefficient lists, trial-divide,
-or walk a search space exhaustively or along a bounded family.
+or walk a search space exhaustively or along a bounded family.  The one
+exception is ``walk_decide``, which decides by the base-triple walk alone
+and so reuses ``enumerate_base_solutions`` (checked on its own against
+``base_triples_oracle`` and ``member_walk_oracle``).
 """
 
 from __future__ import annotations
@@ -10,9 +13,22 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from trifrac.base_solutions import BaseTriple
+from trifrac.base_solutions import BaseTriple, enumerate_base_solutions
 from trifrac.qpoly import RationalPoly
-from trifrac.theorem import ParamFamily, ParamSet, PolyTriple, ResidueClass
+from trifrac.theorem import (
+    REASON_CONDITION_II,
+    REASON_NO_BASE_TRIPLE,
+    DecisionOutcome,
+    KlEvidence,
+    ParamFamily,
+    ParamSet,
+    PolyTriple,
+    ResidueClass,
+    construct_solution,
+    enumerate_kl,
+    solve_condition_ii,
+    verify_identity,
+)
 
 
 def poly_eval(p: RationalPoly, at) -> Fraction:
@@ -216,3 +232,43 @@ def search_condition_iii(fam: ParamFamily, t_max: int) -> ParamSet | None:
         if off == 0 and t >= 0 and s >= 1 and (s * k * l) % r == 0:
             return ParamSet(k=k, l=l, s=s, r=r)
     return None
+
+
+def walk_decide(rc: ResidueClass) -> DecisionOutcome:
+    """The decision by the base-triple walk alone, with no lemma.
+
+    For every (k, l) of condition i), walk the triples of m/n0 through
+    x0 = k*n0 and try each other member y0, ascending and once: accept when
+    n0 | y0 and r = (s*n1 - k*l)/n0 is a positive integer for s = y0/n0.
+    A (k, l) that accepts nothing reports REASON_CONDITION_II when some y0
+    was divisible by n0, else REASON_NO_BASE_TRIPLE.
+    """
+    m, n0, n1 = rc
+    kl_pairs = enumerate_kl(m, n1)
+    solutions = []
+    evidence = []
+    for k, l in kl_pairs:
+        found = len(solutions)
+        divisible = False
+        for bt in enumerate_base_solutions(m, n0, k * n0):
+            rest = list(bt)
+            rest.remove(k * n0)
+            for y0 in dict.fromkeys(rest):
+                s, off = divmod(y0, n0)
+                if off:
+                    continue
+                divisible = True
+                r, off = divmod(s * n1 - k * l, n0)
+                if off or r < 1:
+                    continue
+                ps = ParamSet(k=k, l=l, s=s, r=r)
+                pt = construct_solution(rc, ps)
+                assert verify_identity(rc, pt), ps
+                solutions.append((ps, pt))
+        if len(solutions) == found:
+            fam = solve_condition_ii(rc, k, l)
+            reason = REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE
+            evidence.append(KlEvidence(k, l, fam.s0, fam.r0, fam.describe(), reason))
+    status = "solvable" if solutions else "unsolvable"
+    return DecisionOutcome(rc, status, tuple(solutions), tuple(kl_pairs),
+                           tuple(evidence) if status == "unsolvable" else ())

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from trifrac import scan_audit
+from oracles import trial_divisors
+from trifrac import scan_audit, theorem
 from trifrac.intmath import gcd
 from trifrac.scan_audit import (
     audit_condition_i,
@@ -64,13 +65,25 @@ def test_audit_condition_i_m4():
             assert inst.kl_pairs != ()
 
 
+def _lemma_classes(m: int, n1: int) -> list:
+    """Each (k, l) of condition i) for n1 with p = n1/l and the lemma's
+    classes {-k*h^-1 mod p : h | k^2}, by trial division."""
+    out = []
+    for k, l in enumerate_kl(m, n1):
+        p = n1 // l
+        out.append((k, l, p, {1}, {-k * pow(h, -1, p) % p for h in trial_divisors(k * k)}))
+    return out
+
+
 def _record_decided(monkeypatch) -> list[ResidueClass]:
     """The classes scans and audits hand to ``decide``, in order; each call
-    must pass its modulus's condition-i pairs, found once per modulus."""
+    must pass its modulus's condition-i pairs with the lemma's classes,
+    found once per modulus (``_count_enumerate_kl`` counts that)."""
     decided = []
 
     def recording(rc, **kwargs):
-        assert kwargs == {"kl_pairs": enumerate_kl(rc.m, rc.n1)}
+        assert kwargs.keys() == {"pairs"}
+        assert kwargs["pairs"] == _lemma_classes(rc.m, rc.n1)
         decided.append(rc)
         return decide(rc, **kwargs)
 
@@ -85,7 +98,7 @@ def _count_enumerate_kl(monkeypatch) -> list[int]:
         moduli.append(n1)
         return enumerate_kl(m, n1)
 
-    monkeypatch.setattr(scan_audit, "enumerate_kl", counting)
+    monkeypatch.setattr(theorem, "enumerate_kl", counting)
     return moduli
 
 

@@ -22,8 +22,10 @@ from oracles import (
     poly_eval,
     search_condition_iii,
     trial_divisors,
+    walk_decide,
 )
 
+from trifrac import theorem
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main
 from trifrac.families import RoleTriple, minus_family, plus_family
@@ -617,6 +619,56 @@ def test_decide_solutions_are_the_lemma_sets():
         assert [ps for ps, _ in decide(rc).solutions] == expected, rc
         several += len(expected) > 1
     assert several == 708  # classes with more than one parameter set
+
+
+def _coprime_grid(m_range, n1_max: int) -> list[ResidueClass]:
+    """Every class with m in m_range, n1 < n1_max and n0 < 2*n1."""
+    return [ResidueClass(m, n0, n1) for m in m_range for n1 in range(2, n1_max)
+            if gcd(m, n1) == 1 for n0 in range(1, 2 * n1) if gcd(n0, n1) == 1]
+
+
+def test_decide_matches_the_walk_on_every_pair():
+    # the lemma skips the walk of a (k, l) that does not admit n0 and
+    # derives its reason from n0's divisors; whole outcomes must not move
+    grid = _coprime_grid(range(4, 8), 120)
+    assert len(grid) == 25_004
+    for rc in grid:
+        assert decide(rc) == walk_decide(rc), rc
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_decide_and_sieve_with_split_lemma_classes(monkeypatch, bound):
+    # a target-set bound this small moves every prime power of k with
+    # exponent >= 1 (or >= 2) into the shifts
+    monkeypatch.setattr(theorem, "_TARGET_SET_MAX", bound)
+    assert any(len(shifts) > 1 for m in range(4, 8) for n1 in range(2, 60) if gcd(m, n1) == 1
+               for *_, shifts, _ in theorem._lemma_pairs(m, n1))
+    for rc in _coprime_grid(range(4, 8), 60):
+        assert decide(rc) == walk_decide(rc), rc
+    for m, n1 in [(4, 45045), (4, 4389)] + [(m, n1) for m in range(4, 8) for n1 in range(2, 260)
+                                           if gcd(m, n1) == 1]:
+        assert admissible_residues(m, n1) == kl_square_sieve(m, n1), (m, n1)
+
+
+def test_decide_rejects_an_admitted_pair_whose_walk_accepts_nothing(monkeypatch):
+    monkeypatch.setattr(theorem, "enumerate_base_solutions", lambda m, n0, member: ())
+    with pytest.raises(AssertionError, match="admits n0 = 7"):
+        decide(GOLDEN_RC)
+
+
+@pytest.mark.parametrize("rc", [
+    # k = 2^6*3^4*5^2*7^2*11*13*17*19*23*29*31*37*41*43, d(k^2) = 172,718,325
+    (4, 1, 1582490810678806828799),
+    (4, 5, 1582490810678806828799),
+    # a highly composite n0, so k*n0 has a large divisor walk
+    (4, 97821761637600, 1000000000039),
+])
+def test_decide_worst_case_unsolvable_classes_walk_nothing(monkeypatch, rc):
+    monkeypatch.setattr(theorem, "enumerate_base_solutions", None)
+    out = decide(ResidueClass(*rc))
+    assert out.status == "unsolvable" and out.kl_pairs
+    assert {ev.reason for ev in out.evidence} == {"no qualifying base triple"}
+    assert [(ev.k, ev.l) for ev in out.evidence] == list(out.kl_pairs)
 
 
 # ------------------------------------------------------------ degrees
