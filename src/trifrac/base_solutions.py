@@ -12,6 +12,7 @@ n0/m < a <= 3*n0/m.  All of it is exact integer arithmetic.
 from __future__ import annotations
 
 from itertools import permutations
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .intmath import factorize, gcd
@@ -20,6 +21,10 @@ from .intmath import factorize, gcd
 # about 2,000 walks take 0.2 s for a prime n0 and 5 s for m = 99991, n0 = 99792000
 # (highly composite, so each walk lists more divisors) on a 2-core Xeon VM.
 MAX_BASE_WALKS = 2_000
+# Most divisors of Q^2 one walk may list from (checked before listing any): a
+# walk over 9,823,275 of them takes about 0.8 s at 284 MB peak RSS on the same
+# VM, and the heaviest walk of m = 99991, n0 = 99792000 lists from 127,575.
+MAX_WALK_DIVISORS = 10_000_000
 
 
 class BaseTriple(NamedTuple):
@@ -42,6 +47,7 @@ def _walk(m: int, n0: int, n0_primes: dict[int, int], u: int) -> Iterator[tuple[
     prime by prime, and a partial product above Q is dropped at once: the
     later primes only multiply it further, so no divisor <= Q extends it.
     Only the hits d = -Q (mod P) are sorted, and b = (d + Q)/P grows with d.
+    Q^2 with more than ``MAX_WALK_DIVISORS`` divisors raises ValueError.
     """
     num, den = m * u - n0, n0 * u
     if num <= 0:
@@ -54,6 +60,10 @@ def _walk(m: int, n0: int, n0_primes: dict[int, int], u: int) -> Iterator[tuple[
             rest //= prime
             factors[prime] = factors.get(prime, 0) + 2
     factors.update((prime, 2 * e) for prime, e in factorize(rest).items())
+    count = prod(e + 1 for e in factors.values())
+    if count > MAX_WALK_DIVISORS:
+        raise ValueError(f"the triples of {m}/{n0} through {u} need a walk over the {count} "
+                         f"divisors of Q^2, more than {MAX_WALK_DIVISORS}")
     divs = [1]
     for prime, e in factors.items():
         grown, limit = divs, q // prime
@@ -72,6 +82,7 @@ def enumerate_base_solutions(m: int, n0: int, member: int | None = None) -> tupl
     gcd(m, n0) > 1 is allowed; the empty tuple is a valid result.  n0 must be
     below ``intmath.FACTOR_LIMIT``, since every walk factors it, and without
     ``member`` at most ``MAX_BASE_WALKS`` smallest members may be walked.
+    A walk over more than ``MAX_WALK_DIVISORS`` divisors raises ValueError.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

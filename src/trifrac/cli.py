@@ -39,8 +39,7 @@ from .theorem import (
     residual,
 )
 
-SCHEMA_VERSION = 1
-DEFAULT_T_MAX = 10_000
+SCHEMA_VERSION = 2
 DEFAULT_BOUND = 200
 
 EXIT_OK = 0
@@ -147,20 +146,11 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]])
 # ---------------------------------------------------------------- commands
 
 def cmd_decide(args) -> int:
-    if args.t_max < 0:
-        raise ValueError(f"--t-max must be >= 0, got {args.t_max}")
     outcome = decide(ResidueClass(args.m, args.n0, args.n1))
-    payload = _outcome_json(outcome)
-    if not outcome.is_solvable():
-        # decide is complete, so no family of an unsolvable class has a
-        # condition-iii point at any t: the bound is echoed, found is null
-        payload["family_search"] = [
-            {"k": str(ev.k), "l": str(ev.l), "t_max": str(args.t_max), "found": None}
-            for ev in outcome.evidence]
     csv_rows = [row for ps, pt in outcome.solutions
                 for row in _triple_csv({"status": outcome.status, **_fields_json(ps)}, pt)]
     csv_rows = csv_rows or [{"status": outcome.status}]
-    _emit(args, payload, _outcome_text(outcome), _table(csv_rows))
+    _emit(args, _outcome_json(outcome), _outcome_text(outcome), _table(csv_rows))
     return EXIT_OK
 
 
@@ -175,8 +165,6 @@ def cmd_base(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     residues = None
     if args.residues is not None:  # an empty list is an error, not a full scan
         residues = [int(tok) for tok in args.residues.split(",")]
@@ -339,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     residue_class = ("--m", "--n0", "--n1")
     p = sub.add_parser("decide", help="decide one residue class and construct all solutions")
     add_ints(p, residue_class)
-    p.add_argument("--t-max", type=int, default=DEFAULT_T_MAX,
-                   help="bound on t echoed in the JSON family_search of an unsolvable class; "
-                        "its found is null, since decide is complete")
     add_format(p)
     p.set_defaults(func=cmd_decide)
 
@@ -353,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="run decide over every residue coprime to the modulus")
     add_ints(p, ("--m", "--n1"))
     p.add_argument("--residues", help="comma-separated subset of residues to scan")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; residues are always decided serially")
     add_format(p)
     p.set_defaults(func=cmd_scan)
 

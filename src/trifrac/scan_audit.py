@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .intmath import gcd, primes_up_to
-from .theorem import DecisionOutcome, ResidueClass, _lemma_pairs, _sieve_residues, decide
+from .theorem import DecisionOutcome, ResidueClass, _check_class, _lemma_pairs, _sieve_residues, decide
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
@@ -56,13 +56,7 @@ class ScanReport(NamedTuple):
 def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanReport:
     """Run ``decide`` for every residue n0 coprime to n1 (or a given subset),
     in ascending order of n0, with ``_lemma_pairs`` found once."""
-    if m < 4:
-        raise ValueError(f"m must be >= 4, got {m}")
-    if n1 < 2:
-        raise ValueError(f"n1 must be >= 2, got {n1}")
-    g = gcd(m, n1)
-    if g != 1:
-        raise ValueError(f"gcd(m, n1) must be 1, got gcd({m}, {n1}) = {g}")
+    _check_class(m, 1, n1)
     if residues is None:
         if n1 > MAX_SCAN_MODULUS:
             raise ValueError(f"a full scan needs n1 <= {MAX_SCAN_MODULUS}, got {n1}; "

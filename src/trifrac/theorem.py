@@ -61,6 +61,24 @@ def _validated_make(cls, iterable):
     return cls(*iterable)
 
 
+def _check_class(m: int, n0: int, n1: int) -> None:
+    """Raise ValueError unless (m, n0, n1) is a residue class: m >= 4,
+    n0 >= 1, n1 >= 2, gcd(n0, n1) = 1 and gcd(n1, m) = 1.  A modulus alone
+    is checked as the class n0 = 1."""
+    if m < 4:
+        raise ValueError(f"m must be >= 4, got {m}")
+    if n0 < 1:
+        raise ValueError(f"n0 must be >= 1, got {n0}")
+    if n1 < 2:
+        raise ValueError(f"n1 must be >= 2, got {n1}")
+    g = gcd(n0, n1)
+    if g != 1:
+        raise ValueError(f"gcd(n0, n1) must be 1, got gcd({n0}, {n1}) = {g}")
+    g = gcd(n1, m)
+    if g != 1:
+        raise ValueError(f"gcd(n1, m) must be 1, got gcd({n1}, {m}) = {g}")
+
+
 _ResidueClass = NamedTuple("_ResidueClass", [("m", int), ("n0", int), ("n1", int)])
 
 
@@ -71,18 +89,7 @@ class ResidueClass(_ResidueClass):
     _make = _validated_make
 
     def __new__(cls, m: int, n0: int, n1: int):
-        if m < 4:
-            raise ValueError(f"m must be >= 4, got {m}")
-        if n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {n0}")
-        if n1 < 2:
-            raise ValueError(f"n1 must be >= 2, got {n1}")
-        g = gcd(n0, n1)
-        if g != 1:
-            raise ValueError(f"gcd(n0, n1) must be 1, got gcd({n0}, {n1}) = {g}")
-        g = gcd(n1, m)
-        if g != 1:
-            raise ValueError(f"gcd(n1, m) must be 1, got gcd({n1}, {m}) = {g}")
+        _check_class(m, n0, n1)
         return tuple.__new__(cls, (m, n0, n1))
 
     def n_poly(self) -> RationalPoly:
@@ -182,13 +189,7 @@ def enumerate_kl(m: int, n1: int) -> list[tuple[int, int]]:
     Empty when no divisor d of n1 satisfies d = -1 (mod m); in that case no
     integer polynomial solution exists for any residue n0.
     """
-    if m < 4:
-        raise ValueError(f"m must be >= 4, got {m}")
-    if n1 < 2:
-        raise ValueError(f"n1 must be >= 2, got {n1}")
-    g = gcd(n1, m)
-    if g != 1:
-        raise ValueError(f"gcd(n1, m) must be 1, got gcd({n1}, {m}) = {g}")
+    _check_class(m, 1, n1)
     out = []
     for l in divisors(n1):
         d = n1 // l

@@ -5,12 +5,14 @@ pointwise with ``Fraction``, multiply out coefficient lists, trial-divide,
 or walk a search space exhaustively or along a bounded family.  The one
 exception is ``walk_decide``, which decides by the base-triple walk alone
 and so reuses ``enumerate_base_solutions`` (checked on its own against
-``base_triples_oracle`` and ``member_walk_oracle``).
+``base_triples_oracle`` and ``member_walk_oracle``).  ``degree_oracle`` is
+the one route that does not start from conditions i)-iii).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 from trifrac.base_solutions import BaseTriple, enumerate_base_solutions
@@ -272,3 +274,64 @@ def walk_decide(rc: ResidueClass) -> DecisionOutcome:
     status = "solvable" if solutions else "unsolvable"
     return DecisionOutcome(rc, status, tuple(solutions), tuple(kl_pairs),
                            tuple(evidence) if status == "unsolvable" else ())
+
+
+def _series_quotient(num: list[int], den: list[int]) -> list[int] | None:
+    """num/den as an integer polynomial, or None when den does not divide num.
+
+    den[0] > 0 and den has no trailing zero.  The quotient is divided out as
+    a power series from the constant term, and dropped at the first
+    coefficient that does not divide out; the full product is then compared.
+    """
+    out = []
+    for i in range(len(num) - len(den) + 1):
+        acc = num[i] - sum(den[j] * out[i - j] for j in range(1, min(i, len(den) - 1) + 1))
+        q, off = divmod(acc, den[0])
+        if off:
+            return None
+        out.append(q)
+    return out if out and _convolve(den, out) == num else None
+
+
+def degree_oracle(rc: ResidueClass) -> set[tuple[tuple[int, ...], ...]]:
+    """Every triple of polynomials with positive integer coefficients solving
+    m/(n0 + n1*lambda) = 1/x + 1/y + 1/z, each as the sorted triple of its
+    members' coefficient tuples, found from degrees alone: conditions i)-iii)
+    are not used.
+
+    Let the member degrees be a <= b <= c.  m*x*y*z has degree a + b + c,
+    and n*(x*y + x*z + y*z) has degree 1 + b + c with a positive top
+    coefficient, so a = 1.  If b >= 2, only y*z reaches the top degree on
+    the right, and the top coefficients give m*x1 = n1, impossible as m does
+    not divide n1.  So x and y are linear, and z = n*x*y/D, of degree at
+    most 3, with D = m*x*y - n*(x + y).  At lambda = 0, (x0, y0, z0) is a
+    base triple of m/n0, so D(0) = n0*x0*y0/z0 > 0.  The lambda^2
+    coefficient of D is m*x1*y1 - n1*(x1 + y1).  When deg z >= 2 it
+    vanishes: 1/x1 + 1/y1 = m/n1, that is (m*x1 - n1)*(m*y1 - n1) = n1^2,
+    so the leading pairs come from the divisors of n1^2.  When z is linear
+    it is n1*x1*y1/z1: 1/x1 + 1/y1 + 1/z1 = m/n1, so (x1, y1) are two
+    members of a triple of m/n1.  Both sets are finite, so trying every
+    pair (x0, y0) of members of a base triple of m/n0 against every leading
+    pair is complete.
+    """
+    m, n0, n1 = rc
+    square = n1 * n1
+    leading = {((d + n1) // m, (square // d + n1) // m)
+               for d in trial_divisors(square) if (d + n1) % m == 0}
+    leading.update(pair for t in base_triples_oracle(m, n1) for pair in permutations(t, 2))
+    # x0 <= y0: swapping x and y gives the same triple
+    constant = {(x0, y0) for t in base_triples_oracle(m, n0) for x0, y0 in permutations(t, 2)
+                if x0 <= y0}
+    found = set()
+    for x0, y0 in constant:
+        for x1, y1 in leading:
+            xy = (x0 * y0, x0 * y1 + x1 * y0, x1 * y1)
+            num = [n0 * xy[0], n0 * xy[1] + n1 * xy[0], n0 * xy[2] + n1 * xy[1], n1 * xy[2]]
+            den = [m * xy[0] - n0 * (x0 + y0), m * xy[1] - n0 * (x1 + y1) - n1 * (x0 + y0),
+                   m * xy[2] - n1 * (x1 + y1)]
+            while den[-1] == 0:
+                den.pop()
+            z = _series_quotient(num, den)
+            if z is not None and all(c > 0 for c in z):
+                found.add(tuple(sorted([(x0, x1), (y0, y1), tuple(z)])))
+    return found

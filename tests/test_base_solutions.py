@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import base_triples_oracle, member_walk_oracle
+from trifrac import base_solutions
 from trifrac.base_solutions import BaseTriple, enumerate_base_solutions
 
 
@@ -134,3 +135,14 @@ def test_member_walk_of_highly_composite_n0_matches_trial_division_oracle(m, n0)
     # decide's walks: Q^2 has hundreds of divisors, about half of them above Q
     for k in range(1, 41):
         assert enumerate_base_solutions(m, n0, k * n0) == member_walk_oracle(m, n0, k * n0)
+
+
+def test_walk_over_too_many_divisors_raises(monkeypatch):
+    # 2 = 1/u + 1/b + 1/c leaves 1/b + 1/c = (2u - 1)/u, so Q = u and a walk
+    # through u = 2^e lists from the 2e + 1 divisors of Q^2
+    monkeypatch.setattr(base_solutions, "MAX_WALK_DIVISORS", 3)
+    assert enumerate_base_solutions(2, 1, 2) == (BaseTriple(1, 2, 2),)
+    with pytest.raises(ValueError, match="through 4 need a walk over the 5 divisors of Q\\^2, more than 3$"):
+        enumerate_base_solutions(2, 1, 4)
+    with pytest.raises(ValueError, match="more than 3$"):
+        enumerate_base_solutions(2, 32)

@@ -13,14 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import search_condition_iii
 
-from trifrac.base_solutions import MAX_BASE_WALKS, enumerate_base_solutions
-from trifrac.cli import DEFAULT_T_MAX, _json, build_parser, main
+from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
+from trifrac.cli import _json, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
-from trifrac.theorem import solve_condition_ii
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
 
@@ -35,7 +33,7 @@ def test_decide_json_golden(capsys):
     code, out, _ = run(capsys, GOLDEN + ["--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["status"] == "solvable"
     (sol,) = payload["solutions"]
     assert sol["x"] == ["14", "18"]
@@ -62,49 +60,18 @@ def test_decide_unsolvable_evidence(capsys):
     (ev,) = payload["evidence"]
     assert ev["family"] == "s = 5 + 7t, r = 13 + 19t"
     assert ev["s0"] == "5" and ev["r0"] == "13"
-    (search,) = payload["family_search"]
-    assert search["found"] is None
-    assert search["t_max"] == "10000"
-
-
-@pytest.mark.parametrize("t_max", [0, 3, None])  # None: the default bound
-def test_decide_family_search_echoes_the_complete_decision(capsys, small_grid, t_max):
-    """One family_search entry per evidence (k, l), with the bound echoed and
-    found equal to the bounded (k*l)^2 walk of the oracle: null."""
-    bound = DEFAULT_T_MAX if t_max is None else t_max
-    extra = [] if t_max is None else ["--t-max", str(t_max)]
-    unsolvable = 0
-    for rc in small_grid:
-        code, out, _ = run(capsys, ["decide", "--m", str(rc.m), "--n0", str(rc.n0),
-                                    "--n1", str(rc.n1), "--format", "json", *extra])
-        assert code == 0
-        payload = json.loads(out)
-        if payload["status"] == "solvable":
-            assert "family_search" not in payload
-            continue
-        unsolvable += 1
-        searches = payload["family_search"]
-        assert [(e["k"], e["l"]) for e in searches] == [
-            (ev["k"], ev["l"]) for ev in payload["evidence"]]
-        for entry in searches:
-            k, l = int(entry["k"]), int(entry["l"])
-            hit = search_condition_iii(solve_condition_ii(rc, k, l), bound)
-            assert entry == {"k": str(k), "l": str(l), "t_max": str(bound), "found": hit}
-            assert hit is None
-    assert unsolvable > 100
+    assert "family_search" not in payload
 
 
 def test_decide_highly_composite_modulus_reports_every_pair(capsys):
     # n1 = 3^4*5^2*7*11*13*17*19*23*29 has 960 (k, l) pairs for m = 4, whose
-    # (k*l)^2 have 15.1 M divisors in all: family_search must not walk them
+    # (k*l)^2 have 15.1 M divisors in all: the decision walks none of them
     code, out, _ = run(capsys, ["decide", "--m", "4", "--n0", "1", "--n1", "436704293025",
                                 "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "unsolvable"
-    searches = payload["family_search"]
-    assert len(searches) == len(payload["evidence"]) == len(payload["kl_pairs"]) == 960
-    assert all(entry["found"] is None for entry in searches)
+    assert len(payload["evidence"]) == len(payload["kl_pairs"]) == 960
 
 
 def test_decide_rejects_invalid_instance(capsys):
@@ -113,12 +80,16 @@ def test_decide_rejects_invalid_instance(capsys):
     assert "m must be >= 4" in err
 
 
-@pytest.mark.parametrize("n1", ["9", "19"])  # solvable, unsolvable
-def test_decide_rejects_negative_t_max(capsys, n1):
-    code, out, err = run(capsys, ["decide", "--m", "5", "--n0", "7", "--n1", n1,
-                                  "--t-max", "-1"])
-    assert code == 2 and out == ""
-    assert "--t-max must be >= 0" in err
+@pytest.mark.parametrize("argv", [
+    ["decide", "--m", "5", "--n0", "7", "--n1", "19", "--t-max", "3"],
+    ["scan", "--m", "5", "--n1", "9", "--jobs", "2"],
+])
+def test_removed_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 def test_decide_rejects_modulus_beyond_factoring_limit(capsys):
@@ -138,6 +109,16 @@ def test_decide_large_residue_finishes_unsolvable(capsys):
     (ev,) = payload["evidence"]
     assert (ev["k"], ev["l"]) == ("200000002", "1")
     assert ev["reason"] == "no qualifying base triple"
+
+
+def test_decide_refuses_a_walk_beyond_the_divisor_limit(capsys):
+    # solvable at h = 1, but the walk through k*n0 would list from the
+    # 1,554,464,925 divisors of Q^2: refused before any is listed
+    code, out, err = run(capsys, ["decide", "--m", "4", "--n0", "1186868108009105121599",
+                                  "--n1", "1582490810678806828799", "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the triples of 4/1186868108009105121599 through ")
+    assert err.endswith(f"more than {MAX_WALK_DIVISORS}\n") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -184,19 +165,10 @@ def test_base_at_walk_limit_runs(capsys):
     assert out.startswith(f"2/{MAX_BASE_WALKS} = 1/a + 1/b + 1/c : ")
 
 
-def test_scan_json_and_parallel_determinism(capsys):
-    code, out1, _ = run(capsys, ["scan", "--m", "5", "--n1", "9", "--format", "json"])
+def test_scan_json(capsys):
+    code, out, _ = run(capsys, ["scan", "--m", "5", "--n1", "9", "--format", "json"])
     assert code == 0
-    code, out2, _ = run(capsys, ["scan", "--m", "5", "--n1", "9", "--format", "json",
-                                 "--jobs", "3"])
-    assert code == 0
-    assert out1 == out2
-    payload = json.loads(out1)
-    assert payload["admissible"] == ["4", "7", "8"]
-    for jobs in ("0", "-3"):
-        code, out, err = run(capsys, ["scan", "--m", "5", "--n1", "9", "--jobs", jobs])
-        assert code == 2 and out == ""
-        assert "--jobs must be >= 1" in err
+    assert json.loads(out)["admissible"] == ["4", "7", "8"]
 
 
 @pytest.mark.parametrize("n1", ["1000000000007", str(MAX_SCAN_MODULUS + 1)])
@@ -468,7 +440,8 @@ def test_main_in_one_process_matches_lone_runs():
     sequence = [
         ["decide", "--m", "3", "--n0", "7", "--n1", "9"],  # precondition error
         ["decide", "--m", "5", "--n0", "7"],  # parse error
-        ["decide", "--m", "5", "--n0", "7", "--n1", "19", "--t-max", "3", "--format", "json"],
+        ["audit", "--corollary", "4", "--m", "5", "--bound", "60"],
+        ["audit", "--corollary", "4", "--m", "5"],  # the default bound, 200
         ["scan", "--m", "5", "--n1", "29", "--residues", "4,7", "--format", "csv"],
         ["decide", "--m", "5", "--n0", "7", "--n1", "19", "--format", "json"],
         ["decide", "--m", "5", "--n0", "7", "--n1", "9"],
@@ -489,7 +462,7 @@ def test_main_in_one_process_matches_lone_runs():
         assert (code, out.getvalue(), err.getvalue()) == (
             lone.returncode, lone.stdout.decode("utf-8"), lone.stderr.decode("utf-8")), argv
         codes.append(code)
-    assert codes == [2, 2, 0, 0, 0, 0]
+    assert codes == [2, 2, 0, 0, 0, 0, 0]
     assert build_parser() is build_parser()
 
 
@@ -542,9 +515,9 @@ _RESIDUES = st.one_of(
 
 _FUZZ_ARGV = st.one_of(
     st.tuples(st.just("decide"), st.just("--m"), _M, st.just("--n0"), _ints(-3, 199),
-              st.just("--n1"), _ints(-3, 199), st.just("--t-max"), _ints(-2, 30)),
+              st.just("--n1"), _ints(-3, 199)),
     st.tuples(st.just("scan"), st.just("--m"), _M, st.just("--n1"), _ints(-3, 40),
-              st.just("--jobs"), _ints(-1, 4), st.none() | _RESIDUES),
+              st.none() | _RESIDUES),
     st.tuples(st.just("base"), st.just("--m"), _M, st.just("--n0"), _ints(-3, 199)),
     st.tuples(st.just("audit"), st.just("--corollary"), st.sampled_from(["i", "3", "4"]),
               st.just("--m"), _M, st.just("--bound"), _ints(-3, 59)),

@@ -35,7 +35,7 @@ def test_scan_5_mod_19_residue_7_unsolvable():
 
 
 def test_scan_rejects_shared_factor():
-    with pytest.raises(ValueError, match="gcd\\(m, n1\\)"):
+    with pytest.raises(ValueError, match="gcd\\(n1, m\\)"):
         scan_residues(4, 4)
 
 

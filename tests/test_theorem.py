@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_grid
 from oracles import (
     base_triples_oracle,
+    degree_oracle,
     enumerate_condition_iii,
     family_at,
     identity_holds_at_points,
@@ -26,7 +27,7 @@ from oracles import (
 )
 
 from trifrac import theorem
-from trifrac.base_solutions import enumerate_base_solutions
+from trifrac.base_solutions import MAX_WALK_DIVISORS, enumerate_base_solutions
 from trifrac.cli import main
 from trifrac.families import RoleTriple, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
@@ -562,6 +563,46 @@ def test_decide_agrees_with_family_search(small_grid):
             t, rem = divmod(ps.s - fam.s0, rc.n0)
             assert rem == 0 and t >= 0
             assert family_at(fam, t) == (ps.s, ps.r)
+
+
+@pytest.mark.parametrize("t_max", [0, 3, 10_000])
+def test_unsolvable_families_meet_condition_iii_nowhere(small_grid, t_max):
+    """decide is complete: on the family of every (k, l) of an unsolvable
+    class, the oracle's bounded (k*l)^2 walk finds no condition-iii point."""
+    unsolvable = 0
+    for rc in small_grid:
+        out = decide(rc)
+        if out.is_solvable():
+            assert out.evidence == ()
+            continue
+        unsolvable += 1
+        assert [ev[:2] for ev in out.evidence] == list(out.kl_pairs)
+        for ev in out.evidence:
+            assert search_condition_iii(solve_condition_ii(rc, ev.k, ev.l), t_max) is None
+    assert unsolvable > 100
+
+
+def test_decide_matches_the_degree_oracle_on_the_grid():
+    """decide lists every solution: the degree oracle, which does not use
+    conditions i)-iii), finds the same triples, members in any order."""
+    grid = build_grid(range(4, 6), n1_max=29)
+    assert len(grid) == 407
+    solvable = 0
+    for rc in grid:
+        out = decide(rc)
+        triples = {tuple(sorted(tuple(p.nums) for p in pt)) for _, pt in out.solutions}
+        assert len(triples) == len(out.solutions) and out.is_solvable() == bool(triples), rc
+        assert triples == degree_oracle(rc), rc
+        solvable += out.is_solvable()
+    assert solvable == 100
+
+
+def test_decide_refuses_a_walk_beyond_the_divisor_limit():
+    # k = (n1 + 1)/4 admits n0 = 3k - 1 at h = 1, and the walk through k*n0
+    # would list from the 1,554,464,925 divisors of Q^2
+    rc = ResidueClass(4, 1186868108009105121599, 1582490810678806828799)
+    with pytest.raises(ValueError, match=f"1554464925 divisors of Q\\^2, more than {MAX_WALK_DIVISORS}$"):
+        decide(rc)
 
 
 # ------------------------------------------------------------ admissible residues
