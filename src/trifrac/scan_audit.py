@@ -69,7 +69,7 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
             if gcd(n0, n1) != 1:
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
-    pairs = _lemma_pairs(m, n1)
+    pairs = list(_lemma_pairs(m, n1))
     rows = tuple(ScanRow(n0, decide(ResidueClass(m, n0, n1), pairs=pairs)) for n0 in residues)
     return ScanReport(m=m, n1=n1, rows=rows)
 
@@ -129,7 +129,7 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
             continue
-        pairs = _lemma_pairs(m, p)
+        pairs = list(_lemma_pairs(m, p))
         kl = [pair[:2] for pair in pairs]
         solvable = next(_solvable_residues(m, p, pairs), None)
         if m == 4 and p % 4 == 1 and kl:
@@ -169,7 +169,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if p % 4 != 1 or gcd(p, m) != 1:
             continue
-        pairs = _lemma_pairs(m, p)
+        pairs = list(_lemma_pairs(m, p))
         kl = tuple(pair[:2] for pair in pairs)
         witnesses = list(_solvable_residues(m, p, pairs))
         if witnesses:
@@ -201,7 +201,7 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
             continue
-        pairs = _lemma_pairs(m, p)
+        pairs = list(_lemma_pairs(m, p))
         direct = decide(ResidueClass(m, 1, p), pairs=pairs)
         shifted = decide(ResidueClass(m, p + 1, p), pairs=pairs)
         solvable = [o for o in (direct, shifted) if o.is_solvable()]

@@ -48,7 +48,7 @@ coefficients.  Independent verification routes live in the tests.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .base_solutions import enumerate_base_solutions
 from .intmath import divisors, factorize, gcd
@@ -230,13 +230,12 @@ def _times_powers(values: set[int], a: int, e: int, p: int) -> set[int]:
     return out
 
 
-def _lemma_pairs(m: int, n1: int) -> list[tuple[int, int, int, set[int], set[int]]]:
-    """``enumerate_kl(m, n1)`` as tuples (k, l, p, shifts, targets), p = n1/l,
+def _lemma_pairs(m: int, n1: int) -> Iterator[tuple[int, int, int, set[int], set[int]]]:
+    """Yield ``enumerate_kl(m, n1)`` as (k, l, p, shifts, targets), p = n1/l,
     with n0 admitted at (k, l) iff n0*a mod p is in targets for some a in
     shifts.  The lemma's classes -k*h^-1 mod p, h | k^2, are built prime
     power by prime power: q^e || k spreads the targets by q^-i, i <= 2e, or,
     should that take them past _TARGET_SET_MAX, the shifts by q^i instead."""
-    out = []
     for k, l in enumerate_kl(m, n1):
         p = n1 // l
         shifts, targets = {1}, {-k % p}
@@ -245,11 +244,10 @@ def _lemma_pairs(m: int, n1: int) -> list[tuple[int, int, int, set[int], set[int
                 targets = _times_powers(targets, pow(q, -1, p), 2 * e, p)
             else:
                 shifts = _times_powers(shifts, q, 2 * e, p)
-        out.append((k, l, p, shifts, targets))
-    return out
+        yield k, l, p, shifts, targets
 
 
-def _sieve_residues(n1: int, pairs: list[tuple[int, int, int, set[int], set[int]]]) -> list[int]:
+def _sieve_residues(n1: int, pairs: Iterable[tuple[int, int, int, set[int], set[int]]]) -> list[int]:
     """The sieve of ``admissible_residues``, given ``_lemma_pairs`` for n1."""
     found = set()
     for _, _, p, shifts, targets in pairs:
@@ -327,28 +325,37 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
             and pt.z.is_positive_integral() and identity_holds(rc, pt))
 
 
-def decide(rc: ResidueClass, *, pairs: list | None = None) -> DecisionOutcome:
-    """Complete decision for the residue class.
+def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcome:
+    """Complete decision for the residue class, in one pass over the (k, l)
+    of condition i).
 
-    Each (k, l) of condition i) that admits n0 (the lemma in the module
-    docstring) walks the base triples of m/n0 through x0 = k*n0 and tries
-    each other member y0, ascending and once: it accepts when n0 | y0 and
-    r = (s*n1 - k*l)/n0 is a positive integer for s = y0/n0.  Condition iii)
-    holds by itself: the third member is z0 = k*s*n0/((m*k - 1)*s - k), and
-    i) turns ii) into (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The
-    accepted sets are those of the lemma, in (k, l) order and then by
-    h = r/l descending, no two sharing a triple; an admitted (k, l) that
-    accepts nothing raises AssertionError.  An unsolvable class reports
-    REASON_CONDITION_II for a (k, l) that admits a divisor of n0 (the
-    reason rule), else REASON_NO_BASE_TRIPLE.  A sweep of one modulus
-    passes its ``pairs`` (``_lemma_pairs(m, n1)``) in.
+    Each (k, l) that admits n0 (the lemma in the module docstring) walks the
+    base triples of m/n0 through x0 = k*n0 and tries each other member y0,
+    ascending and once: it accepts when n0 | y0 and r = (s*n1 - k*l)/n0 is a
+    positive integer for s = y0/n0.  Condition iii) holds by itself: the
+    third member is z0 = k*s*n0/((m*k - 1)*s - k), and i) turns ii) into
+    (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The accepted sets are those
+    of the lemma, in (k, l) order and then by h = r/l descending, no two
+    sharing a triple; an admitted (k, l) that accepts nothing raises
+    AssertionError.  An unsolvable class reports REASON_CONDITION_II for a
+    (k, l) that admits a divisor of n0 (the reason rule), else
+    REASON_NO_BASE_TRIPLE.  A sweep of one modulus passes its ``pairs``
+    (``list(_lemma_pairs(m, n1))``) in; otherwise each pair's lemma classes
+    are built as the pass reaches them and dropped after it.
     """
     m, n0, n1 = rc
-    pairs = _lemma_pairs(m, n1) if pairs is None else pairs
     solutions: list[tuple[ParamSet, PolyTriple]] = []
+    kl_pairs, evidence, n0_divisors = [], [], None
 
-    for k, l, p, shifts, targets in pairs:
+    for k, l, p, shifts, targets in _lemma_pairs(m, n1) if pairs is None else pairs:
+        kl_pairs.append((k, l))
         if targets.isdisjoint([n0 * a % p for a in shifts]):
+            if not solutions:
+                n0_divisors = divisors(n0) if n0_divisors is None else n0_divisors
+                fam = solve_condition_ii(rc, k, l)
+                divisible = any(f * a % p in targets for f in n0_divisors for a in shifts)
+                evidence.append(KlEvidence(k, l, fam.s0, fam.r0, fam.describe(),
+                                           REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE))
             continue
         found = len(solutions)
         for bt in enumerate_base_solutions(m, n0, k * n0):
@@ -369,15 +376,8 @@ def decide(rc: ResidueClass, *, pairs: list | None = None) -> DecisionOutcome:
         if len(solutions) == found:
             raise AssertionError(f"(k, l) = ({k}, {l}) admits n0 = {n0}, yet its walk accepts nothing")
 
-    evidence = []
-    n0_divisors = divisors(n0) if pairs and not solutions else ()
-    for k, l, p, shifts, targets in () if solutions else pairs:
-        fam = solve_condition_ii(rc, k, l)
-        divisible = any(f * a % p in targets for f in n0_divisors for a in shifts)
-        evidence.append(KlEvidence(k, l, fam.s0, fam.r0, fam.describe(),
-                                   REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE))
     return DecisionOutcome(rc, "solvable" if solutions else "unsolvable", tuple(solutions),
-                           tuple([pair[:2] for pair in pairs]), tuple(evidence))
+                           tuple(kl_pairs), () if solutions else tuple(evidence))
 
 
 class DegreeReport(NamedTuple):
@@ -386,20 +386,19 @@ class DegreeReport(NamedTuple):
     member in the y role."""
 
     degrees: tuple[int, int, int]
-    aux_degree: int | None
+    aux_degree: int
 
 
 def analyze_degrees(rc: ResidueClass, pt: PolyTriple) -> DegreeReport:
     """Degree report for a verified solution triple.
 
     Rejects unverified triples; every verified triple has pattern {1, 1, 2}
-    and auxiliary degree 1, and callers assert exactly that.
+    and auxiliary degree 1, and callers assert exactly that.  The sorted
+    degrees a <= b <= c give the auxiliary degree 1 + a + b - c: as
+    m*x*y*z - n*(x*y + x*z + y*z) = y*(m*x*z - n*(x + z)) - n*x*z, a
+    verified triple has y*aux = n*x*z.
     """
     if not verify_identity(rc, pt):
         raise ValueError("analyze_degrees requires a triple that passes verify_identity")
-    polys = [pt.x, pt.y, pt.z]
-    degs = [p.degree for p in polys]
-    y_pos = max(range(3), key=lambda i: degs[i])
-    xz = [polys[i] for i in range(3) if i != y_pos]
-    aux = (xz[0] * xz[1]).scale(rc.m) - rc.n_poly() * (xz[0] + xz[1])
-    return DegreeReport(degrees=tuple(sorted(degs)), aux_degree=aux.degree)
+    a, b, c = sorted(p.degree for p in pt)
+    return DegreeReport(degrees=(a, b, c), aux_degree=1 + a + b - c)

@@ -597,6 +597,19 @@ def test_decide_matches_the_degree_oracle_on_the_grid():
     assert solvable == 100
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 9), st.integers(2, 59), st.data())
+def test_decide_matches_the_degree_oracle_on_random_classes(m, n1, data):
+    """Small random classes, n0 up to 2*n1, so n0 > n1 is drawn too."""
+    assume(gcd(m, n1) == 1)
+    n0 = data.draw(st.integers(1, 2 * n1 - 1).filter(lambda n0: gcd(n0, n1) == 1))
+    rc = ResidueClass(m, n0, n1)
+    out = decide(rc)
+    triples = {tuple(sorted(tuple(p.nums) for p in pt)) for _, pt in out.solutions}
+    assert len(triples) == len(out.solutions) and out.is_solvable() == bool(triples)
+    assert triples == degree_oracle(rc)
+
+
 def test_decide_refuses_a_walk_beyond_the_divisor_limit():
     # k = (n1 + 1)/4 admits n0 = 3k - 1 at h = 1, and the walk through k*n0
     # would list from the 1,554,464,925 divisors of Q^2
@@ -677,6 +690,16 @@ def test_decide_matches_the_walk_on_every_pair():
         assert decide(rc) == walk_decide(rc), rc
 
 
+def test_decide_takes_its_pairs_in_one_pass():
+    # a one-shot iterator of the lemma classes decides as the list does
+    for m, n1 in [(m, n1) for m in range(4, 8) for n1 in range(2, 60) if gcd(m, n1) == 1]:
+        pairs = list(theorem._lemma_pairs(m, n1))
+        for n0 in range(1, 2 * n1):
+            if gcd(n0, n1) == 1:
+                rc = ResidueClass(m, n0, n1)
+                assert decide(rc, pairs=iter(pairs)) == decide(rc, pairs=pairs) == decide(rc), rc
+
+
 @pytest.mark.parametrize("bound", [1, 3])
 def test_decide_and_sieve_with_split_lemma_classes(monkeypatch, bound):
     # a target-set bound this small moves every prime power of k with
@@ -718,6 +741,19 @@ def test_analyze_degrees_golden():
     report = analyze_degrees(GOLDEN_RC, GOLDEN_TRIPLE)
     assert report.degrees == (1, 1, 2)
     assert report.aux_degree == 1
+
+
+def test_analyze_degrees_aux_degree_matches_the_product(full_grid):
+    """aux_degree = 1 + a + b - c equals the degree of m*x*z - n*(x + z),
+    multiplied out with the highest-degree member as y."""
+    solutions = 0
+    for rc in full_grid:
+        for _, pt in decide(rc).solutions:
+            x, z = sorted(pt, key=lambda p: p.degree)[:2]
+            aux = (x * z).scale(rc.m) - rc.n_poly() * (x + z)
+            assert analyze_degrees(rc, pt).aux_degree == aux.degree == 1, rc
+            solutions += 1
+    assert solutions == 716
 
 
 def test_analyze_degrees_rejects_unverified():
