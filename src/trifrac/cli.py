@@ -1,43 +1,30 @@
 """Command-line frontend: decide, scan, base, family, audit, verify.
 
-Output formats are text (default), json and csv.  Each command builds
-its payload, text lines and CSV table once; ``_emit`` adds the JSON
-envelope (``schema_version`` and ``command``) and writes the one format
-asked for.  JSON serializes every mathematical integer as a decimal
-string so arbitrary precision survives any consumer.  Exit codes: 0 the
-run completed, 2 a precondition or parse error was rejected, 3 an audit or
-verification found a discrepancy.
+Output formats are text (default), json and csv.  Each command hands ``_emit``
+one renderer per format, and only the one ``--format`` asks for runs.  JSON has
+sorted keys under an envelope (``schema_version`` and ``command``); outcomes are
+written by their shape, and scan and audit rows one at a time.  Every
+mathematical integer is a decimal string so arbitrary precision survives any
+consumer.  Exit codes: 0 the run completed, 2 a precondition or parse error was
+rejected, 3 an audit or verification found a discrepancy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .base_solutions import enumerate_base_solutions
 from .families import FamilySolution, RoleTriple, minus_family, plus_family
 from .qpoly import _MAX_ARG_DIGITS, RationalPoly
-from .scan_audit import (
-    AuditReport,
-    audit_condition_i,
-    audit_corollary3,
-    audit_corollary4,
-    scan_residues,
-)
-from .theorem import (
-    DecisionOutcome,
-    PolyTriple,
-    ResidueClass,
-    analyze_degrees,
-    decide,
-    residual,
-)
+from .scan_audit import (AuditReport, ScanReport, audit_condition_i, audit_corollary3,
+                         audit_corollary4, scan_residues)
+from .theorem import DecisionOutcome, PolyTriple, ResidueClass, analyze_degrees, decide, residual
 
 SCHEMA_VERSION = 2
 DEFAULT_BOUND = 200
@@ -50,13 +37,8 @@ EXIT_DISCREPANCY = 3
 # ---------------------------------------------------------------- payloads
 
 def _fields_json(record) -> dict:
-    """A record's fields by name, each value as a string (a residue class's
-    m/n0/n1, a parameter set's k/l/s/r, a role triple, an evidence line)."""
+    """A record's fields by name, each value as a string (m/n0/n1, k/l/s/r, x0/y0/z0)."""
     return {name: str(v) for name, v in zip(record._fields, record)}
-
-
-def _triple_json(pt: PolyTriple) -> dict:
-    return {name: getattr(pt, name).to_coeff_strings() for name in "xyz"}
 
 
 def _triple_text(pt: PolyTriple) -> list[str]:
@@ -75,15 +57,47 @@ def _table(rows: list[dict]) -> list[list[str]]:
     return [fields] + [[row.get(key, "") for key in fields] for row in rows]
 
 
-def _outcome_json(outcome: DecisionOutcome) -> dict:
-    return {
-        **_fields_json(outcome.rc),
-        "status": outcome.status,
-        "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in outcome.kl_pairs],
-        "solutions": [{"params": _fields_json(ps), **_triple_json(pt)}
-                      for ps, pt in outcome.solutions],
-        "evidence": [_fields_json(ev) for ev in outcome.evidence],
-    }
+# Evidence and solution items of an outcome, and an audit instance, as ``_json`` lays
+# them out in an object at depth 0; decimal strings go in without escaping.
+_EVIDENCE = ('{\n      "family": %s,\n      "k": "%s",\n      "l": "%s",\n      "r0": "%s",'
+             '\n      "reason": %s,\n      "s0": "%s"\n    }')
+_SOLUTION = ('{\n      "params": {\n        "k": "%s",\n        "l": "%s",\n        "r": "%s",'
+             '\n        "s": "%s"\n      },\n      "x": %s,\n      "y": %s,\n      "z": %s\n    }')
+_INSTANCE = ('{\n  "detail": %s,\n  "kl_pairs": %s,\n  "p": "%s",\n  "verdict": %s,'
+             '\n  "witnesses": %s\n}')
+
+
+@functools.lru_cache(maxsize=2)  # every outcome of one modulus has the same kl_pairs
+def _kl_json(kl_pairs):
+    return _json([{"k": str(k), "l": str(l)} for k, l in kl_pairs], "\n  ")
+
+
+def _outcome_json(outcome: DecisionOutcome, indent: str = "\n", envelope: dict | None = None):
+    """``_json`` of an outcome's dict form at ``indent``, ``envelope``'s members among its own."""
+    evidence = [_EVIDENCE % (_escape(ev.family), ev.k, ev.l, ev.r0, _escape(ev.reason), ev.s0)
+                for ev in outcome.evidence]
+    solutions = [_SOLUTION % (ps.k, ps.l, ps.r, ps.s, *(_wrap("[]", list(map(
+        _escape, p.to_coeff_strings())), "\n      ") for p in pt)) for ps, pt in outcome.solutions]
+    members = ['"evidence": ' + _wrap("[]", evidence, "\n  "),
+               '"kl_pairs": ' + _kl_json(outcome.kl_pairs),
+               *map('"{}": "{}"'.format, ("m", "n0", "n1"), outcome.rc),
+               '"solutions": ' + _wrap("[]", solutions, "\n  "),
+               '"status": ' + _escape(outcome.status)]
+    if envelope:  # members of these plain keys sort as their keys do
+        members = sorted(members + [f'"{key}": {_json(v)}' for key, v in envelope.items()])
+    text = _wrap("{}", members, "\n")
+    return text if indent == "\n" else text.replace("\n", indent)  # strings hold no raw newline
+
+
+def _stream(payload: dict, key: str, items):
+    """``_json(payload)`` in pieces, ``payload[key]`` the list of ``items`` at depth 0."""
+    head, tail = _json(payload | {key: _Raw("\0")}).split("\0")  # any other NUL is escaped
+    yield head
+    sep = "[\n    "
+    for item in items:
+        yield sep + item.replace("\n", "\n    ")
+        sep = ",\n    "
+    yield ("[]" if sep == "[\n    " else "\n  ]") + tail
 
 
 def _outcome_text(outcome: DecisionOutcome) -> list[str]:
@@ -102,13 +116,22 @@ def _outcome_text(outcome: DecisionOutcome) -> list[str]:
     return lines
 
 
+class _Raw(str):
+    """Rendered JSON text, which ``_json`` inserts as it stands."""
+
+
+def _wrap(ends: str, items: list[str], indent: str) -> str:
+    """Rendered ``items`` between ``ends``, one a line at ``indent`` + 2 spaces."""
+    inner = indent + "  "
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` over str-keyed dicts, lists,
-    tuples, str, int, bool and None, escaping with the C ``encode_basestring_ascii``
-    (json.dumps with an indent runs its pure-Python encoder); else TypeError.
-    ``indent`` is the newline and spaces that start a line at this depth."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` over str-keyed dicts, lists, tuples,
+    str, int, bool and None, with the C string escaper, and a ``_Raw`` as it stands; else
+    TypeError.  ``indent`` is the newline and spaces that start a line at this depth."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Raw else _escape(value)
     if value is None:
         return "null"
     if isinstance(value, bool):  # before int: True == 1
@@ -117,25 +140,72 @@ def _json(value, indent: str = "\n") -> str:
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+        return _wrap("{}", [f"{_escape(k)}: {_json(v, inner)}"
+                            for k, v in sorted(value.items())], indent)
     if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        return _wrap("[]", [_json(v, inner) for v in value], indent)
     raise TypeError(f"{type(value).__name__} is not part of the JSON payload vocabulary")
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]]) -> None:
-    """Write one format; ``csv_rows`` starts with its header row."""
+def _decide_csv(outcome: DecisionOutcome) -> list[list[str]]:
+    rows = [row for ps, pt in outcome.solutions
+            for row in _triple_csv({"status": outcome.status, **_fields_json(ps)}, pt)]
+    return _table(rows or [{"status": outcome.status}])
+
+
+def _scan_json(report: ScanReport, envelope: dict):
+    payload = envelope | {"m": str(report.m), "n1": str(report.n1),
+                          "admissible": list(map(str, report.admissible)),
+                          "summary": {k: str(v) for k, v in report.summary.items()}}
+    return _stream(payload, "rows", (_outcome_json(outcome) for _, outcome in report.rows))
+
+
+def _scan_text(report: ScanReport) -> list[str]:
+    lines = [f"scan m = {report.m}, modulus n1 = {report.n1}"]
+    for n0, o in report.rows:
+        n_sol = len(o.solutions)
+        lines.append(f"  n0 = {n0}: {o.status}" + (f" ({n_sol} solution(s))" if n_sol else ""))
+    return lines + [f"admissible residues: {list(report.admissible)}", f"summary: {report.summary}"]
+
+
+def _scan_csv(report: ScanReport) -> list[list[str]]:
+    return [["n0", "status", "solutions"],
+            *([str(n0), o.status, str(len(o.solutions))] for n0, o in report.rows)]
+
+
+def _audit_json(report: AuditReport, envelope: dict):
+    payload = envelope | {"audit": report.audit, "m": str(report.m), "bound": str(report.bound),
+                          "has_discrepancy": report.has_discrepancy}
+    return _stream(payload, "instances", (_INSTANCE % (
+        _json(inst.detail), _kl_json(inst.kl_pairs), inst.prime, _json(inst.verdict),
+        _wrap("[]", [_outcome_json(w, "\n    ") for w in inst.witnesses], "\n  "))
+        for inst in report.instances))
+
+
+def _audit_text(report: AuditReport) -> list[str]:
+    return [f"audit {report.audit}, m = {report.m}, primes <= {report.bound}",
+            *(f"  p = {inst.prime}: {inst.verdict} ({inst.detail})" for inst in report.instances),
+            "discrepancies found" if report.has_discrepancy else "all consistent"]
+
+
+def _audit_csv(report: AuditReport) -> list[list[str]]:
+    return [["p", "verdict", "detail"],
+            *([str(inst.prime), inst.verdict, inst.detail] for inst in report.instances)]
+
+
+def _emit(args, json_pieces, text_lines, csv_rows) -> None:
+    """Write what the one renderer ``--format`` asks for gives: ``json_pieces(envelope)``
+    the JSON text in pieces, ``text_lines()`` lines, ``csv_rows()`` rows, header first."""
     try:
         if args.format == "json":
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
-            print(_json(envelope | payload))
+            sys.stdout.writelines(json_pieces(envelope))
+            sys.stdout.write("\n")
         elif args.format == "csv":
-            csv.writer(sys.stdout).writerows(csv_rows)
+            import csv  # only a CSV run loads it, which keeps every cold start shorter
+            csv.writer(sys.stdout).writerows(csv_rows())
         else:
-            print("\n".join(text_lines))
+            print("\n".join(text_lines()))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early; that is not an error.  What is
@@ -147,10 +217,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]])
 
 def cmd_decide(args) -> int:
     outcome = decide(ResidueClass(args.m, args.n0, args.n1))
-    csv_rows = [row for ps, pt in outcome.solutions
-                for row in _triple_csv({"status": outcome.status, **_fields_json(ps)}, pt)]
-    csv_rows = csv_rows or [{"status": outcome.status}]
-    _emit(args, _outcome_json(outcome), _outcome_text(outcome), _table(csv_rows))
+    _emit(args, lambda envelope: [_outcome_json(outcome, envelope=envelope)],
+          functools.partial(_outcome_text, outcome), functools.partial(_decide_csv, outcome))
     return EXIT_OK
 
 
@@ -158,35 +226,19 @@ def cmd_base(args) -> int:
     triples = enumerate_base_solutions(args.m, args.n0)
     rows = [[str(t.a), str(t.b), str(t.c)] for t in triples]
     payload = {"m": str(args.m), "n0": str(args.n0), "triples": rows}
-    text = [f"{args.m}/{args.n0} = 1/a + 1/b + 1/c : {len(triples)} solution(s)"]
-    text += [f"  {{{t.a}, {t.b}, {t.c}}}" for t in triples]
-    _emit(args, payload, text, [["a", "b", "c"], *rows])
+    _emit(args, lambda envelope: [_json(envelope | payload)],
+          lambda: [f"{args.m}/{args.n0} = 1/a + 1/b + 1/c : {len(triples)} solution(s)",
+                   *(f"  {{{t.a}, {t.b}, {t.c}}}" for t in triples)],
+          lambda: [["a", "b", "c"], *rows])
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    residues = None
-    if args.residues is not None:  # an empty list is an error, not a full scan
-        residues = [int(tok) for tok in args.residues.split(",")]
+    # an empty --residues is an error, not a full scan
+    residues = None if args.residues is None else [int(tok) for tok in args.residues.split(",")]
     report = scan_residues(args.m, args.n1, residues=residues)
-    payload = {
-        "m": str(report.m),
-        "n1": str(report.n1),
-        "rows": [_outcome_json(row.outcome) for row in report.rows],
-        "admissible": [str(n0) for n0 in report.admissible],
-        "summary": {k: str(v) for k, v in report.summary.items()},
-    }
-    text = [f"scan m = {report.m}, modulus n1 = {report.n1}"]
-    for row in report.rows:
-        n_sol = len(row.outcome.solutions)
-        suffix = f" ({n_sol} solution(s))" if n_sol else ""
-        text.append(f"  n0 = {row.n0}: {row.outcome.status}{suffix}")
-    text.append(f"admissible residues: {list(report.admissible)}")
-    text.append(f"summary: {report.summary}")
-    csv_rows = [["n0", "status", "solutions"]]
-    csv_rows += [[str(row.n0), row.outcome.status, str(len(row.outcome.solutions))]
-                 for row in report.rows]
-    _emit(args, payload, text, csv_rows)
+    _emit(args, functools.partial(_scan_json, report), functools.partial(_scan_text, report),
+          functools.partial(_scan_csv, report))
     return EXIT_OK
 
 
@@ -196,55 +248,26 @@ def cmd_family(args) -> int:
     roles = [tok.strip() for tok in args.roles.split(",")]
     if len(base) != 3 or sorted(roles) != ["x0", "y0", "z0"]:
         raise ValueError("--base needs three integers and --roles a permutation of x0,y0,z0")
-    assignment = dict(zip(roles, base))
-    rt = RoleTriple(x0=assignment["x0"], y0=assignment["y0"], z0=assignment["z0"])
+    rt = RoleTriple(**dict(zip(roles, base)))
     fam: FamilySolution = (plus_family if args.branch == "plus" else minus_family)(rc, rt)
     pt = fam.triple
-    payload = {
-        **_fields_json(rc),
-        **_triple_json(pt),
-        "branch": fam.branch,
-        "roles": _fields_json(rt),
-        "integral": fam.integral,
-        "degenerate": fam.degenerate,
-    }
-    text = [f"{fam.branch} family at (x0, y0, z0) = ({rt.x0}, {rt.y0}, {rt.z0})",
-            *_triple_text(pt), f"  integer coefficients: {'yes' if fam.integral else 'no'}"]
-    tag = {"branch": fam.branch, "integral": str(fam.integral).lower()}
-    _emit(args, payload, text, _table(_triple_csv(tag, pt)))
+    _emit(args,
+          lambda envelope: [_json(envelope | _fields_json(rc) | {
+              **{name: getattr(pt, name).to_coeff_strings() for name in "xyz"},
+              "branch": fam.branch, "roles": _fields_json(rt),
+              "integral": fam.integral, "degenerate": fam.degenerate})],
+          lambda: [f"{fam.branch} family at (x0, y0, z0) = ({rt.x0}, {rt.y0}, {rt.z0})",
+                   *_triple_text(pt), f"  integer coefficients: {'yes' if fam.integral else 'no'}"],
+          lambda: _table(_triple_csv({"branch": fam.branch,
+                                      "integral": str(fam.integral).lower()}, pt)))
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    runner = {
-        "i": audit_condition_i,
-        "3": audit_corollary3,
-        "4": audit_corollary4,
-    }[args.corollary]
-    report: AuditReport = runner(args.m, args.bound)
-    payload = {
-        "audit": report.audit,
-        "m": str(report.m),
-        "bound": str(report.bound),
-        "has_discrepancy": report.has_discrepancy,
-        "instances": [
-            {
-                "p": str(inst.prime),
-                "verdict": inst.verdict,
-                "detail": inst.detail,
-                "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in inst.kl_pairs],
-                "witnesses": [_outcome_json(w) for w in inst.witnesses],
-            }
-            for inst in report.instances
-        ],
-    }
-    text = [f"audit {report.audit}, m = {report.m}, primes <= {report.bound}"]
-    for inst in report.instances:
-        text.append(f"  p = {inst.prime}: {inst.verdict} ({inst.detail})")
-    text.append("discrepancies found" if report.has_discrepancy else "all consistent")
-    csv_rows = [["p", "verdict", "detail"]]
-    csv_rows += [[str(inst.prime), inst.verdict, inst.detail] for inst in report.instances]
-    _emit(args, payload, text, csv_rows)
+    runner = {"i": audit_condition_i, "3": audit_corollary3, "4": audit_corollary4}[args.corollary]
+    report = runner(args.m, args.bound)
+    _emit(args, functools.partial(_audit_json, report), functools.partial(_audit_text, report),
+          functools.partial(_audit_csv, report))
     return EXIT_DISCREPANCY if report.has_discrepancy else EXIT_OK
 
 
@@ -280,30 +303,30 @@ def cmd_verify(args) -> int:
     holds = res.is_zero()
     integral = {name: getattr(pt, name).is_positive_integral() for name in ("x", "y", "z")}
     ok = holds and all(integral.values())
-    payload = {
-        **_fields_json(rc),
-        "verified": ok,
-        "identity_holds": holds,
-        "integral": integral,
-        "degrees": {name: str(getattr(pt, name).degree) for name in ("x", "y", "z")},
-    }
-    if ok:
-        report = analyze_degrees(rc, pt)
-        payload["degree_pattern"] = [str(d) for d in report.degrees]
-        payload["aux_degree"] = str(report.aux_degree)
-        text = ["verified", f"degree pattern: {list(report.degrees)}"]
-    else:
-        text = []
-        if not holds:
-            payload["residual"] = res.to_coeff_strings()
-            text.append("identity fails")
-            text.append(f"residual m*x*y*z - n*(xy + xz + yz) = {res.format_text()}")
+    report = analyze_degrees(rc, pt) if ok else None
+
+    def payload(envelope: dict) -> list[str]:
+        out = envelope | _fields_json(rc) | {
+            "verified": ok, "identity_holds": holds, "integral": integral,
+            "degrees": {name: str(getattr(pt, name).degree) for name in "xyz"}}
+        if ok:
+            out |= {"degree_pattern": [str(d) for d in report.degrees],
+                    "aux_degree": str(report.aux_degree)}
+        elif not holds:
+            out["residual"] = res.to_coeff_strings()
+        return [_json(out)]
+
+    def text() -> list[str]:
+        if ok:
+            return ["verified", f"degree pattern: {list(report.degrees)}"]
+        lines = [] if holds else ["identity fails",
+                                  f"residual m*x*y*z - n*(xy + xz + yz) = {res.format_text()}"]
         bad = [name for name, good in integral.items() if not good]
         if bad:
-            text.append(f"not positive-integral: {', '.join(bad)}")
-        if not text:
-            text.append("verification failed")
-    _emit(args, payload, text, _table(_triple_csv({"verified": str(ok).lower()}, pt)))
+            lines.append(f"not positive-integral: {', '.join(bad)}")
+        return lines or ["verification failed"]
+
+    _emit(args, payload, text, lambda: _table(_triple_csv({"verified": str(ok).lower()}, pt)))
     return EXIT_OK if ok else EXIT_DISCREPANCY
 
 
@@ -311,58 +334,36 @@ def cmd_verify(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trifrac",
-        description="Integer polynomial solutions of m/(n0 + n1*t) = 1/x + 1/y + 1/z",
-    )
+    parser = argparse.ArgumentParser(prog="trifrac", description=(
+        "Integer polynomial solutions of m/(n0 + n1*t) = 1/x + 1/y + 1/z"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    def add_ints(p, flags):
-        for flag in flags:
+    def command(name, func, help, ints=("--m", "--n0", "--n1")):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in ints:
             p.add_argument(flag, type=int, required=True)
+        return p
 
-    residue_class = ("--m", "--n0", "--n1")
-    p = sub.add_parser("decide", help="decide one residue class and construct all solutions")
-    add_ints(p, residue_class)
-    add_format(p)
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("base", help="enumerate positive triples with 1/a + 1/b + 1/c = m/n0")
-    add_ints(p, residue_class[:2])
-    add_format(p)
-    p.set_defaults(func=cmd_base)
-
-    p = sub.add_parser("scan", help="run decide over every residue coprime to the modulus")
-    add_ints(p, ("--m", "--n1"))
+    command("decide", cmd_decide, "decide one residue class and construct all solutions")
+    command("base", cmd_base, "enumerate positive triples with 1/a + 1/b + 1/c = m/n0",
+            ints=("--m", "--n0"))
+    p = command("scan", cmd_scan, "run decide over every residue coprime to the modulus",
+                ints=("--m", "--n1"))
     p.add_argument("--residues", help="comma-separated subset of residues to scan")
-    add_format(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("family", help="build the plus or minus rational family from a base triple")
-    add_ints(p, residue_class)
+    p = command("family", cmd_family, "build the plus or minus rational family from a base triple")
     p.add_argument("--base", required=True, help="three members, e.g. 2,7,14")
     p.add_argument("--roles", default="x0,y0,z0",
                    help="role of each --base entry, a permutation of x0,y0,z0")
     p.add_argument("--branch", choices=("plus", "minus"), required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("audit", help="audit the exclusion rules empirically")
+    p = command("audit", cmd_audit, "audit the exclusion rules empirically", ints=())
     p.add_argument("--corollary", choices=("i", "3", "4"), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    add_format(p)
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("verify", help="verify an externally supplied polynomial triple")
-    add_ints(p, residue_class)
+    p = command("verify", cmd_verify, "verify an externally supplied polynomial triple")
     p.add_argument("--file", required=True, help="JSON file with x, y, z coefficient strings")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser
 
 
@@ -376,8 +377,7 @@ def _check_digits(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_digits(args)
         return args.func(args)

@@ -25,9 +25,9 @@ from .theorem import DecisionOutcome, ResidueClass, _check_class, _lemma_pairs, 
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 takes 2.3 s at 210 MB; at bound 10000,
-# audit corollary 3 (m = 5) takes 0.6 s at 50 MB and the others under 0.2 s.
-# Audit output is built whole, so the bound stays until it is streamed.
+# full JSON scan of m = 4, n1 = 49999 takes 1.6-2.3 s at 49 MB; at bound 10000,
+# audit corollary 3 (m = 5) takes 0.6-0.9 s at 22 MB.  The output is written a
+# row at a time, but every row is decided and held first, so both limits stay.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
@@ -49,7 +49,7 @@ class ScanReport(NamedTuple):
 
     @property
     def summary(self) -> dict[str, int]:
-        solvable = len(self.admissible)
+        solvable = sum(row.outcome.is_solvable() for row in self.rows)
         return {"solvable": solvable, "unsolvable": len(self.rows) - solvable}
 
 

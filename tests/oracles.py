@@ -6,7 +6,8 @@ or walk a search space exhaustively or along a bounded family.  The one
 exception is ``walk_decide``, which decides by the base-triple walk alone
 and so reuses ``enumerate_base_solutions`` (checked on its own against
 ``base_triples_oracle`` and ``member_walk_oracle``).  ``degree_oracle`` is
-the one route that does not start from conditions i)-iii).
+the one route that does not start from conditions i)-iii).  ``outcome_dict``
+is the CLI's JSON form of an outcome as plain dicts, for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -335,3 +336,21 @@ def degree_oracle(rc: ResidueClass) -> set[tuple[tuple[int, ...], ...]]:
             if z is not None and all(c > 0 for c in z):
                 found.add(tuple(sorted([(x0, x1), (y0, y1), tuple(z)])))
     return found
+
+
+def outcome_dict(outcome: DecisionOutcome) -> dict:
+    """A decision outcome as the CLI's JSON object, every integer a decimal
+    string: ``json.dumps(outcome_dict(o), indent=2, sort_keys=True)`` is what
+    ``decide --format json`` prints for it, less the envelope."""
+    def fields(record) -> dict:
+        return {name: str(v) for name, v in zip(record._fields, record)}
+
+    return {
+        **fields(outcome.rc),
+        "status": outcome.status,
+        "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in outcome.kl_pairs],
+        "solutions": [{"params": fields(ps), **{name: getattr(pt, name).to_coeff_strings()
+                                                for name in "xyz"}}
+                      for ps, pt in outcome.solutions],
+        "evidence": [fields(ev) for ev in outcome.evidence],
+    }

@@ -14,11 +14,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import build_grid
+from oracles import outcome_dict
+from test_golden import CASES, GOLDEN_DIR, run_cli
+from trifrac import cli
 from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
-from trifrac.cli import _json, build_parser, main
+from trifrac.cli import _json, _outcome_json, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
+from trifrac.theorem import REASON_CONDITION_II, REASON_NO_BASE_TRIPLE, ResidueClass, decide
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
 
@@ -479,6 +484,18 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_cli_loads_csv_only_for_a_csv_run():
+    """Only ``--format csv`` needs the csv module, so importing the CLI skips it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import contextlib, io, sys; import trifrac.cli; before = 'csv' in sys.modules\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    trifrac.cli.main(['base', '--m', '5', '--n0', '7', '--format', 'csv'])\n"
+             "print(before, 'csv' in sys.modules, out.getvalue().splitlines()[0])")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False True a,b,c\n", "")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -619,3 +636,50 @@ def test_json_writer_fixed_cases():
 def test_json_writer_rejects_values_outside_the_payload_vocabulary(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+def test_outcome_writer_matches_json_dumps_of_the_dict_form():
+    # every decide outcome of m 4..7, n1 < 60, n0 < n1, and the 960-pair class
+    outcomes = [decide(rc) for rc in build_grid(range(4, 8), 59)]
+    outcomes.append(decide(ResidueClass(4, 1, 436704293025)))
+    # the shapes the writer must cover: no (k, l) at all, both unsolvable
+    # reasons, several solutions, and 960 evidence pairs
+    assert any(o.kl_pairs == () for o in outcomes)
+    assert {ev.reason for o in outcomes for ev in o.evidence} == {
+        REASON_CONDITION_II, REASON_NO_BASE_TRIPLE}
+    assert max(len(o.solutions) for o in outcomes) > 1
+    assert len(outcomes[-1].evidence) == 960
+    envelope = {"schema_version": 2, "command": "decide"}
+    for outcome in outcomes:
+        form = outcome_dict(outcome)
+        expected = json.dumps(form, indent=2, sort_keys=True)
+        for indent in ("\n", "\n    ", "\n        "):
+            assert _outcome_json(outcome, indent) == expected.replace("\n", indent), outcome.rc
+        assert _outcome_json(outcome, envelope=envelope) == json.dumps(
+            envelope | form, indent=2, sort_keys=True), outcome.rc
+
+
+# Each format's renderers for decide, scan and audit: any one of them running
+# for another format is wasted work.
+_RENDERERS = {
+    "json": ("_json", "_outcome_json"),
+    "text": ("_outcome_text", "_scan_text", "_audit_text"),
+    "csv": ("_decide_csv", "_scan_csv", "_audit_csv"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_RENDERERS))
+def test_each_format_runs_only_its_own_renderers(monkeypatch, broken):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a {broken} renderer ran")
+
+    for name in _RENDERERS[broken]:
+        monkeypatch.setattr(cli, name, refuse)
+    manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text(encoding="utf-8"))
+    names = [name for name in sorted(CASES) if name.split("-")[0] in ("decide", "scan", "audit")
+             and not name.endswith("-" + broken)]
+    assert len(names) >= 12
+    for name in names:
+        code, out, err = run_cli(manifest[name]["argv"])
+        assert (code, err) == (manifest[name]["exit"], ""), name
+        assert out == (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8"), name
