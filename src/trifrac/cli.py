@@ -3,10 +3,11 @@
 Output formats are text (default), json and csv.  Each command hands ``_emit``
 one renderer per format, and only the one ``--format`` asks for runs.  JSON has
 sorted keys under an envelope (``schema_version`` and ``command``); outcomes are
-written by their shape, and scan and audit rows one at a time.  Every
-mathematical integer is a decimal string so arbitrary precision survives any
-consumer.  Exit codes: 0 the run completed, 2 a precondition or parse error was
-rejected, 3 an audit or verification found a discrepancy.
+written by their shape, and scan and audit rows, evidence and (k, l) items and
+text lines one at a time.  Every mathematical integer is a decimal string so
+arbitrary precision survives any consumer.  Exit codes: 0 the run completed, 2 a
+precondition or parse error was rejected, 3 an audit or verification found a
+discrepancy.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def _table(rows: list[dict]) -> list[list[str]]:
     return [fields] + [[row.get(key, "") for key in fields] for row in rows]
 
 
-# Evidence and solution items of an outcome, and an audit instance, as ``_json`` lays
-# them out in an object at depth 0; decimal strings go in without escaping.
+# Evidence, (k, l) and solution items of an outcome, and an audit instance, as ``_json``
+# lays them out in an object at depth 0; decimal strings go in without escaping.
+_KL_PAIR = '{\n      "k": "%s",\n      "l": "%s"\n    }'
 _EVIDENCE = ('{\n      "family": %s,\n      "k": "%s",\n      "l": "%s",\n      "r0": "%s",'
              '\n      "reason": %s,\n      "s0": "%s"\n    }')
 _SOLUTION = ('{\n      "params": {\n        "k": "%s",\n        "l": "%s",\n        "r": "%s",'
@@ -68,52 +70,70 @@ _INSTANCE = ('{\n  "detail": %s,\n  "kl_pairs": %s,\n  "p": "%s",\n  "verdict": 
 
 
 @functools.lru_cache(maxsize=2)  # every outcome of one modulus has the same kl_pairs
-def _kl_json(kl_pairs):
-    return _json([{"k": str(k), "l": str(l)} for k, l in kl_pairs], "\n  ")
+def _kl_json(kl_pairs) -> str:
+    return _wrap("[]", list(map(_KL_PAIR.__mod__, kl_pairs)), "\n  ")
 
 
-def _outcome_json(outcome: DecisionOutcome, indent: str = "\n", envelope: dict | None = None):
-    """``_json`` of an outcome's dict form at ``indent``, ``envelope``'s members among its own."""
-    evidence = [_EVIDENCE % (_escape(ev.family), ev.k, ev.l, ev.r0, _escape(ev.reason), ev.s0)
-                for ev in outcome.evidence]
+def _evidence_json(ev) -> str:
+    return _EVIDENCE % (_escape(ev.family), ev.k, ev.l, ev.r0, _escape(ev.reason), ev.s0)
+
+
+def _outcome_frame(outcome: DecisionOutcome, evidence: str, kl_pairs: str, envelope=None) -> str:
+    """``_json`` of an outcome's dict form and ``envelope``, evidence and kl_pairs as given."""
     solutions = [_SOLUTION % (ps.k, ps.l, ps.r, ps.s, *(_wrap("[]", list(map(
         _escape, p.to_coeff_strings())), "\n      ") for p in pt)) for ps, pt in outcome.solutions]
-    members = ['"evidence": ' + _wrap("[]", evidence, "\n  "),
-               '"kl_pairs": ' + _kl_json(outcome.kl_pairs),
+    members = ['"evidence": ' + evidence, '"kl_pairs": ' + kl_pairs,
                *map('"{}": "{}"'.format, ("m", "n0", "n1"), outcome.rc),
                '"solutions": ' + _wrap("[]", solutions, "\n  "),
                '"status": ' + _escape(outcome.status)]
     if envelope:  # members of these plain keys sort as their keys do
         members = sorted(members + [f'"{key}": {_json(v)}' for key, v in envelope.items()])
-    text = _wrap("{}", members, "\n")
+    return _wrap("{}", members, "\n")
+
+
+def _outcome_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
+    """``_json`` of an outcome's dict form at ``indent``."""
+    text = _outcome_frame(outcome, _wrap("[]", list(map(_evidence_json, outcome.evidence)), "\n  "),
+                          _kl_json(outcome.kl_pairs))
     return text if indent == "\n" else text.replace("\n", indent)  # strings hold no raw newline
+
+
+def _outcome_pieces(outcome: DecisionOutcome, envelope: dict):
+    """``_outcome_frame`` with ``envelope`` in pieces, one an evidence or (k, l) item."""
+    return _splice(_outcome_frame(outcome, "\0", "\0", envelope),
+                   map(_evidence_json, outcome.evidence), map(_KL_PAIR.__mod__, outcome.kl_pairs))
+
+
+def _splice(text: str, *lists):
+    """``text`` in pieces, its raw NULs (any other is escaped) replaced in turn by the
+    ``lists`` of items: lists in an object at depth 0, items laid out at depth 2."""
+    head, *tails = text.split("\0")
+    yield head
+    for items, tail in zip(lists, tails):
+        sep = "[\n    "
+        for item in items:
+            yield sep + item
+            sep = ",\n    "
+        yield ("[]" if sep == "[\n    " else "\n  ]") + tail
 
 
 def _stream(payload: dict, key: str, items):
     """``_json(payload)`` in pieces, ``payload[key]`` the list of ``items`` at depth 0."""
-    head, tail = _json(payload | {key: _Raw("\0")}).split("\0")  # any other NUL is escaped
-    yield head
-    sep = "[\n    "
-    for item in items:
-        yield sep + item.replace("\n", "\n    ")
-        sep = ",\n    "
-    yield ("[]" if sep == "[\n    " else "\n  ]") + tail
+    return _splice(_json(payload | {key: _Raw("\0")}), (item.replace("\n", "\n    ") for item in items))
 
 
-def _outcome_text(outcome: DecisionOutcome) -> list[str]:
+def _outcome_text(outcome: DecisionOutcome):
     rc = outcome.rc
-    lines = [f"{rc.m}/({rc.n0} + {rc.n1}λ) = 1/x + 1/y + 1/z : {outcome.status}"]
+    yield f"{rc.m}/({rc.n0} + {rc.n1}λ) = 1/x + 1/y + 1/z : {outcome.status}"
     if outcome.kl_pairs:
-        pairs = ", ".join(f"(k={k}, l={l})" for k, l in outcome.kl_pairs)
-        lines.append(f"condition i admits: {pairs}")
+        yield "condition i admits: " + ", ".join(f"(k={k}, l={l})" for k, l in outcome.kl_pairs)
     else:
-        lines.append("condition i admits no (k, l); unsolvable for every residue")
+        yield "condition i admits no (k, l); unsolvable for every residue"
     for i, (ps, pt) in enumerate(outcome.solutions, 1):
-        lines.append(f"solution {i}: (k, l, s, r) = ({ps.k}, {ps.l}, {ps.s}, {ps.r})")
-        lines += _triple_text(pt)
+        yield f"solution {i}: (k, l, s, r) = ({ps.k}, {ps.l}, {ps.s}, {ps.r})"
+        yield from _triple_text(pt)
     for ev in outcome.evidence:
-        lines.append(f"(k={ev.k}, l={ev.l}): family {ev.family}; {ev.reason}")
-    return lines
+        yield f"(k={ev.k}, l={ev.l}): family {ev.family}; {ev.reason}"
 
 
 class _Raw(str):
@@ -205,7 +225,7 @@ def _emit(args, json_pieces, text_lines, csv_rows) -> None:
             import csv  # only a CSV run loads it, which keeps every cold start shorter
             csv.writer(sys.stdout).writerows(csv_rows())
         else:
-            print("\n".join(text_lines()))
+            sys.stdout.writelines(line + "\n" for line in text_lines())
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early; that is not an error.  What is
@@ -217,7 +237,7 @@ def _emit(args, json_pieces, text_lines, csv_rows) -> None:
 
 def cmd_decide(args) -> int:
     outcome = decide(ResidueClass(args.m, args.n0, args.n1))
-    _emit(args, lambda envelope: [_outcome_json(outcome, envelope=envelope)],
+    _emit(args, functools.partial(_outcome_pieces, outcome),
           functools.partial(_outcome_text, outcome), functools.partial(_decide_csv, outcome))
     return EXIT_OK
 
@@ -348,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("decide", cmd_decide, "decide one residue class and construct all solutions")
     command("base", cmd_base, "enumerate positive triples with 1/a + 1/b + 1/c = m/n0",
             ints=("--m", "--n0"))
-    p = command("scan", cmd_scan, "run decide over every residue coprime to the modulus",
+    p = command("scan", cmd_scan, "decide every residue coprime to the modulus (or --residues)",
                 ints=("--m", "--n1"))
     p.add_argument("--residues", help="comma-separated subset of residues to scan")
     p = command("family", cmd_family, "build the plus or minus rational family from a base triple")

@@ -1,12 +1,12 @@
 """Residue sweeps over a modulus and empirical audits of the equation's
 exclusion rules, all driven by the complete decision procedure.
 
-A scan decides every residue, since its unsolvable rows carry evidence.  The
-audits need only a prime's solvable residues: the sieve behind
-``admissible_residues`` marks n0 = -k*h^-1 (mod p) for the divisors h of k^2
-(the lemma in ``theorem``), and ``decide`` builds and verifies each one's
-solutions from the same ``_lemma_pairs`` (a sieved residue it calls
-unsolvable raises AssertionError).
+The sieve behind ``admissible_residues`` marks n0 = -k*h^-1 (mod p) for the
+divisors h of k^2 (the lemma in ``theorem``).  A full scan and audits i and 3
+hand only those residues to ``decide``, which builds and verifies their
+solutions from the same ``_lemma_pairs`` (an audit raises AssertionError if it
+calls one unsolvable); a full scan's other rows are unsolvable, with the
+reasons the reason rule's sieve gives.
 
 The audits deliberately report rather than assert for m != 4: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are
@@ -21,13 +21,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .intmath import gcd, primes_up_to
-from .theorem import DecisionOutcome, ResidueClass, _check_class, _lemma_pairs, _sieve_residues, decide
+from .theorem import (DecisionOutcome, ResidueClass, _check_class, _evidence, _lemma_pairs,
+                      _sieve_reasons, _sieve_residues, decide)
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 takes 1.6-2.3 s at 49 MB; at bound 10000,
+# full JSON scan of m = 4, n1 = 49999 takes 0.65-0.85 s at 44 MB; at bound 10000,
 # audit corollary 3 (m = 5) takes 0.6-0.9 s at 22 MB.  The output is written a
-# row at a time, but every row is decided and held first, so both limits stay.
+# row at a time, but every row is built and held first, so both limits stay.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
@@ -54,10 +55,13 @@ class ScanReport(NamedTuple):
 
 
 def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanReport:
-    """Run ``decide`` for every residue n0 coprime to n1 (or a given subset),
-    in ascending order of n0, with ``_lemma_pairs`` found once."""
+    """The outcome of every residue n0 coprime to n1 (or of a given subset, of
+    any modulus), ascending, with ``_lemma_pairs`` found once.  A subset runs
+    ``decide`` on each residue, a full scan only on those the sieve admits; it
+    builds the others as ``decide`` would, with the reasons ``_sieve_reasons`` marks."""
     _check_class(m, 1, n1)
-    if residues is None:
+    full = residues is None
+    if full:
         if n1 > MAX_SCAN_MODULUS:
             raise ValueError(f"a full scan needs n1 <= {MAX_SCAN_MODULUS}, got {n1}; "
                              "scan a subset of residues instead")
@@ -70,8 +74,18 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
     pairs = list(_lemma_pairs(m, n1))
-    rows = tuple(ScanRow(n0, decide(ResidueClass(m, n0, n1), pairs=pairs)) for n0 in residues)
-    return ScanReport(m=m, n1=n1, rows=rows)
+    admitted, marks = _sieve_reasons(n1, pairs) if full else (None, ())
+    kl_pairs = tuple(pair[:2] for pair in pairs)
+    rows = []
+    for n0 in residues:
+        rc = ResidueClass(m, n0, n1)
+        if not full or n0 in admitted:
+            outcome = decide(rc, pairs=pairs)
+        else:  # unsolvable, with the reason each (k, l)'s marks give
+            outcome = DecisionOutcome(rc, "unsolvable", (), kl_pairs, tuple(
+                _evidence(rc, *kl, mark[n0]) for kl, mark in zip(kl_pairs, marks)))
+        rows.append(ScanRow(n0, outcome))
+    return ScanReport(m=m, n1=n1, rows=tuple(rows))
 
 
 class AuditInstance(NamedTuple):

@@ -37,7 +37,10 @@ Proof: with Q = k*n0, 1/y0 + 1/z0 = m/n0 - 1/Q = P/Q in lowest terms
 divides one exactly when n0 | d, i.e. d = n0*F with F | k^2*n0 and
 F = -k (mod P).  Such F are the products h*f with h | k^2, f | n0 and
 f*h = -k (mod P), which is f admitted.  ``admissible_residues`` sieves a
-whole modulus by the lemma without deciding any residue.
+whole modulus by the lemma without deciding any residue.  The rule sieves
+too: every divisor of an n0 in [1, n1) coprime to n1 is itself there, so
+marking the multiples of each admitted f in [1, n1) coprime to n1 marks
+exactly the n0 with REASON_CONDITION_II at (k, l) (``_sieve_reasons``).
 
 ``identity_holds`` is the one identity check: it evaluates the cleared
 residual exactly at lambda = 2^k (Kronecker substitution), with 2^k more
@@ -247,16 +250,31 @@ def _lemma_pairs(m: int, n1: int) -> Iterator[tuple[int, int, int, set[int], set
         yield k, l, p, shifts, targets
 
 
-def _sieve_residues(n1: int, pairs: Iterable[tuple[int, int, int, set[int], set[int]]]) -> list[int]:
-    """The sieve of ``admissible_residues``, given ``_lemma_pairs`` for n1."""
-    found = set()
+def _pair_residues(n1: int, pairs: Iterable) -> Iterator[list[int]]:
+    """For each of n1's ``_lemma_pairs``, the n0 in [1, n1) coprime to n1 it admits."""
     for _, _, p, shifts, targets in pairs:
         inverses = [pow(a, -1, p) for a in shifts]
-        for first in {t * b % p for b in inverses for t in targets}:
-            for n0 in range(first, n1, p):
-                if gcd(n0, n1) == 1:
-                    found.add(n0)
-    return sorted(found)
+        yield [n0 for first in {t * b % p for b in inverses for t in targets}
+               for n0 in range(first, n1, p) if gcd(n0, n1) == 1]
+
+
+def _sieve_residues(n1: int, pairs: Iterable[tuple[int, int, int, set[int], set[int]]]) -> list[int]:
+    """The sieve of ``admissible_residues``, given ``_lemma_pairs`` for n1."""
+    return sorted(set().union(*_pair_residues(n1, pairs)))
+
+
+def _sieve_reasons(n1: int, pairs: list) -> tuple[set[int], list[bytearray]]:
+    """The residues ``_sieve_residues`` finds, and for each pair a
+    bytearray(n1) whose byte at n0 is 1 iff a divisor of n0 is admitted
+    there (the reason rule's sieve form): each admitted f marks its multiples."""
+    admitted, marks, ones = set(), [], memoryview(b"\1" * n1)
+    for found in _pair_residues(n1, pairs):
+        admitted.update(found)
+        mark = bytearray(n1)
+        for f in found:
+            mark[f::f] = ones[:(n1 - 1) // f]
+        marks.append(mark)
+    return admitted, marks
 
 
 def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
@@ -325,6 +343,14 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
             and pt.z.is_positive_integral() and identity_holds(rc, pt))
 
 
+def _evidence(rc: ResidueClass, k: int, l: int, divisible: bool) -> KlEvidence:
+    """Why (k, l) gives the class no solution: its condition-ii family and,
+    by the reason rule, REASON_CONDITION_II iff a divisor of n0 is admitted."""
+    fam = solve_condition_ii(rc, k, l)
+    return KlEvidence(k, l, fam.s0, fam.r0, fam.describe(),
+                      REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE)
+
+
 def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcome:
     """Complete decision for the residue class, in one pass over the (k, l)
     of condition i).
@@ -352,10 +378,8 @@ def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcom
         if targets.isdisjoint([n0 * a % p for a in shifts]):
             if not solutions:
                 n0_divisors = divisors(n0) if n0_divisors is None else n0_divisors
-                fam = solve_condition_ii(rc, k, l)
-                divisible = any(f * a % p in targets for f in n0_divisors for a in shifts)
-                evidence.append(KlEvidence(k, l, fam.s0, fam.r0, fam.describe(),
-                                           REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE))
+                evidence.append(_evidence(rc, k, l, any(
+                    f * a % p in targets for f in n0_divisors for a in shifts)))
             continue
         found = len(solutions)
         for bt in enumerate_base_solutions(m, n0, k * n0):

@@ -19,7 +19,7 @@ from oracles import outcome_dict
 from test_golden import CASES, GOLDEN_DIR, run_cli
 from trifrac import cli
 from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
-from trifrac.cli import _json, _outcome_json, build_parser, main
+from trifrac.cli import _json, _outcome_json, _outcome_pieces, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
@@ -655,14 +655,14 @@ def test_outcome_writer_matches_json_dumps_of_the_dict_form():
         expected = json.dumps(form, indent=2, sort_keys=True)
         for indent in ("\n", "\n    ", "\n        "):
             assert _outcome_json(outcome, indent) == expected.replace("\n", indent), outcome.rc
-        assert _outcome_json(outcome, envelope=envelope) == json.dumps(
+        assert "".join(_outcome_pieces(outcome, envelope)) == json.dumps(
             envelope | form, indent=2, sort_keys=True), outcome.rc
 
 
 # Each format's renderers for decide, scan and audit: any one of them running
 # for another format is wasted work.
 _RENDERERS = {
-    "json": ("_json", "_outcome_json"),
+    "json": ("_json", "_outcome_json", "_outcome_pieces"),
     "text": ("_outcome_text", "_scan_text", "_audit_text"),
     "csv": ("_decide_csv", "_scan_csv", "_audit_csv"),
 }

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from oracles import trial_divisors
@@ -12,9 +14,12 @@ from trifrac.scan_audit import (
     scan_residues,
 )
 from trifrac.theorem import (
+    REASON_CONDITION_II,
+    REASON_NO_BASE_TRIPLE,
     DecisionOutcome,
     ParamSet,
     ResidueClass,
+    admissible_residues,
     decide,
     enumerate_kl,
     verify_identity,
@@ -48,10 +53,36 @@ def test_scan_residue_subset_validation():
         scan_residues(5, 9, residues=[3])
 
 
+def _scan_reasons(moduli) -> Counter:
+    """Assert that every full scan's rows equal ``decide`` of each residue
+    coprime to n1; count the reasons of their evidence."""
+    reasons = Counter()
+    for m, n1 in moduli:
+        rows = scan_residues(m, n1).rows
+        assert [row.n0 for row in rows] == [n0 for n0 in range(1, n1) if gcd(n0, n1) == 1]
+        for n0, outcome in rows:
+            assert outcome == decide(ResidueClass(m, n0, n1)), (m, n0, n1)
+            reasons.update(ev.reason for ev in outcome.evidence)
+    return reasons
+
+
 def test_scan_rows_reproducible_by_decide():
-    report = scan_residues(5, 9)
-    for row in report.rows:
-        assert decide(ResidueClass(5, row.n0, 9)) == row.outcome
+    # a full scan decides only the sieved residues and builds the rest,
+    # reasons included, from the reason rule's sieve
+    moduli = [(m, n1) for m in range(4, 10) for n1 in range(2, 200) if gcd(m, n1) == 1]
+    assert len(moduli) == 725 and (5, 9) in moduli
+    assert _scan_reasons(moduli).keys() == {REASON_CONDITION_II, REASON_NO_BASE_TRIPLE}
+    assert len(enumerate_kl(4, 4389)) == 8 and len(enumerate_kl(4, 3465)) == 12
+    assert _scan_reasons([(4, 4389)]) == {REASON_CONDITION_II: 517, REASON_NO_BASE_TRIPLE: 1859}
+    assert _scan_reasons([(4, 3465)]) == {REASON_CONDITION_II: 210, REASON_NO_BASE_TRIPLE: 1014}
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_scan_rows_from_the_sieve_with_split_lemma_classes(monkeypatch, bound):
+    monkeypatch.setattr(theorem, "_TARGET_SET_MAX", bound)
+    moduli = [(m, n1) for m in range(4, 8) for n1 in range(2, 120) if gcd(m, n1) == 1]
+    assert any(len(shifts) > 1 for m, n1 in moduli for *_, shifts, _ in theorem._lemma_pairs(m, n1))
+    assert _scan_reasons(moduli).keys() == {REASON_CONDITION_II, REASON_NO_BASE_TRIPLE}
 
 
 def test_audit_condition_i_m4():
@@ -103,13 +134,18 @@ def _count_enumerate_kl(monkeypatch) -> list[int]:
 
 
 def test_scan_finds_condition_i_once_per_modulus(monkeypatch):
+    # a full scan decides only the residues the sieve admits and builds the
+    # unsolvable rest from the sieve; a subset decides every residue
     decided = _record_decided(monkeypatch)
     moduli = _count_enumerate_kl(monkeypatch)
-    report = scan_residues(4, 443)
-    assert decided == [ResidueClass(4, row.n0, 443) for row in report.rows]
+    scan_residues(4, 443)
     assert moduli == [443]
+    assert decided == [ResidueClass(4, n0, 443) for n0 in admissible_residues(4, 443)]
+    moduli.clear()
+    decided.clear()
     scan_residues(4, 443, residues=[1, 2, 3])
-    assert moduli == [443, 443] and len(decided) == len(report.rows) + 3
+    assert moduli == [443]
+    assert decided == [ResidueClass(4, n0, 443) for n0 in (1, 2, 3)]
 
 
 def test_audits_find_condition_i_once_per_prime(monkeypatch):
