@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
@@ -126,7 +127,8 @@ def _outcome_text(outcome: DecisionOutcome):
     rc = outcome.rc
     yield f"{rc.m}/({rc.n0} + {rc.n1}λ) = 1/x + 1/y + 1/z : {outcome.status}"
     if outcome.kl_pairs:
-        yield "condition i admits: " + ", ".join(f"(k={k}, l={l})" for k, l in outcome.kl_pairs)
+        yield ((", " if i else "condition i admits: ") + f"(k={k}, l={l})"  # in pieces
+               for i, (k, l) in enumerate(outcome.kl_pairs))
     else:
         yield "condition i admits no (k, l); unsolvable for every residue"
     for i, (ps, pt) in enumerate(outcome.solutions, 1):
@@ -215,7 +217,8 @@ def _audit_csv(report: AuditReport) -> list[list[str]]:
 
 def _emit(args, json_pieces, text_lines, csv_rows) -> None:
     """Write what the one renderer ``--format`` asks for gives: ``json_pieces(envelope)``
-    the JSON text in pieces, ``text_lines()`` lines, ``csv_rows()`` rows, header first."""
+    the JSON text in pieces, ``text_lines()`` lines (one that is no str in the pieces it
+    gives), ``csv_rows()`` rows, header first."""
     try:
         if args.format == "json":
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
@@ -225,7 +228,8 @@ def _emit(args, json_pieces, text_lines, csv_rows) -> None:
             import csv  # only a CSV run loads it, which keeps every cold start shorter
             csv.writer(sys.stdout).writerows(csv_rows())
         else:
-            sys.stdout.writelines(line + "\n" for line in text_lines())
+            for line in text_lines():
+                sys.stdout.writelines((line, "\n") if isinstance(line, str) else chain(line, "\n"))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early; that is not an error.  What is
@@ -352,39 +356,64 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+_MN = ("--m", "--n0", "--n1")
+_COMMANDS = {  # name: function, its integer options and its line in the top-level help
+    "decide": (cmd_decide, _MN, "decide one residue class and construct all solutions"),
+    "base": (cmd_base, _MN[:2], "enumerate positive triples with 1/a + 1/b + 1/c = m/n0"),
+    "scan": (cmd_scan, ("--m", "--n1"),
+             "decide every residue coprime to the modulus (or --residues)"),
+    "family": (cmd_family, _MN, "build the plus or minus rational family from a base triple"),
+    "audit": (cmd_audit, (), "audit the exclusion rules empirically"),
+    "verify": (cmd_verify, _MN, "verify an externally supplied polynomial triple"),
+}
+
+
+def _command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``p`` command ``name``'s arguments, as its own parser and as a subparser."""
+    func, ints, _ = _COMMANDS[name]
+    p.set_defaults(subcommand=name, func=func)
+    for flag in ints:
+        p.add_argument(flag, type=int, required=True)
+    if name == "scan":
+        p.add_argument("--residues", help="comma-separated subset of residues to scan")
+    elif name == "family":
+        p.add_argument("--base", required=True, help="three members, e.g. 2,7,14")
+        p.add_argument("--roles", default="x0,y0,z0",
+                       help="role of each --base entry, a permutation of x0,y0,z0")
+        p.add_argument("--branch", choices=("plus", "minus"), required=True)
+    elif name == "audit":
+        p.add_argument("--corollary", choices=("i", "3", "4"), required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    elif name == "verify":
+        p.add_argument("--file", required=True, help="JSON file with x, y, z coefficient strings")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    return p
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    return _command(argparse.ArgumentParser(prog="trifrac " + name), name)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trifrac", description=(
         "Integer polynomial solutions of m/(n0 + n1*t) = 1/x + 1/y + 1/z"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, func, help, ints=("--m", "--n0", "--n1")):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        for flag in ints:
-            p.add_argument(flag, type=int, required=True)
-        return p
-
-    command("decide", cmd_decide, "decide one residue class and construct all solutions")
-    command("base", cmd_base, "enumerate positive triples with 1/a + 1/b + 1/c = m/n0",
-            ints=("--m", "--n0"))
-    p = command("scan", cmd_scan, "decide every residue coprime to the modulus (or --residues)",
-                ints=("--m", "--n1"))
-    p.add_argument("--residues", help="comma-separated subset of residues to scan")
-    p = command("family", cmd_family, "build the plus or minus rational family from a base triple")
-    p.add_argument("--base", required=True, help="three members, e.g. 2,7,14")
-    p.add_argument("--roles", default="x0,y0,z0",
-                   help="role of each --base entry, a permutation of x0,y0,z0")
-    p.add_argument("--branch", choices=("plus", "minus"), required=True)
-    p = command("audit", cmd_audit, "audit the exclusion rules empirically", ints=())
-    p.add_argument("--corollary", choices=("i", "3", "4"), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p = command("verify", cmd_verify, "verify an externally supplied polynomial triple")
-    p.add_argument("--file", required=True, help="JSON file with x, y, z coefficient strings")
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    for name, (*_, help) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=help), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, with a named command's own parser;
+    the full tree parses only the top-level help and errors and reports leftovers."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _check_digits(args) -> None:
@@ -397,7 +426,7 @@ def _check_digits(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         _check_digits(args)
         return args.func(args)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -441,7 +442,7 @@ def test_closed_pipe_keeps_exit_code(argv, want):
 
 
 def test_main_in_one_process_matches_lone_runs():
-    """The parser is built once per process; no run may see another's state."""
+    """Each parser is built once per process; no run may see another's state."""
     sequence = [
         ["decide", "--m", "3", "--n0", "7", "--n1", "9"],  # precondition error
         ["decide", "--m", "5", "--n0", "7"],  # parse error
@@ -500,6 +501,81 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_VALID = {
+    "decide": ["--m", "5", "--n0", "7", "--n1", "9"],
+    "base": ["--m", "5", "--n0", "7"],
+    "scan": ["--m", "5", "--n1", "29"],
+    "family": ["--m", "5", "--n0", "7", "--n1", "9", "--base", "2,5,70", "--branch", "plus"],
+    "audit": ["--corollary", "4", "--m", "5", "--bound", "60"],
+    "verify": ["--m", "5", "--n0", "7", "--n1", "9",
+               "--file", str(GOLDEN_DIR / "verify-5-7-9-pass.in.json")],
+}
+_BAD_CHOICE = {"family": ["--branch", "up"], "audit": ["--corollary", "9"]}
+
+
+def _parser_matrix():
+    for name, valid in _VALID.items():
+        m = valid.index("--m") + 1
+        yield [name, *valid]
+        yield [name, *valid[:m - 1], *valid[m + 1:]]  # --m, which every command requires, missing
+        yield [name, *valid[:m], "x", *valid[m + 1:]]  # a non-integer --m
+        yield [name, *valid, "--format", "yaml"]
+        yield [name, *valid, *_BAD_CHOICE.get(name, ["--format", "xml"])]
+        yield [name, *valid, "--t-max", "3"]  # an unknown option
+        yield [name, *valid, "stray"]  # a stray positional
+        yield [name, *valid, "--for", "json"]  # an abbreviation of --format
+        yield [name, "-h"]
+    yield from ([], ["-h"], ["--help"], ["frobnicate"], ["dec", "--m", "5"])
+
+
+def _outcome(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections and help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_command_parsers_match_the_full_tree(monkeypatch):
+    """Each command line gives the same exit code, stdout and stderr as when the full
+    ``build_parser()`` tree parses it, this Python's argparse being the reference."""
+    argvs = list(_parser_matrix())
+    own = [_outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+    for argv, got in zip(argvs, own):
+        assert got == _outcome(argv), argv
+    assert {code for code, *_ in own} == {0, 2}
+    assert own[argvs.index(["decide", *_VALID["decide"], "--t-max", "3"])][2].endswith(
+        "trifrac: error: unrecognized arguments: --t-max 3\n")
+
+
+def test_a_command_run_builds_only_its_own_parser(monkeypatch, capsys):
+    """Only a top-level path or leftover arguments build the full tree of every command."""
+    cli._command_parser.cache_clear()
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["decide", *_VALID["decide"], "--format", "json"]) == 0
+    assert main(["decide", "--m", "5", "--n0", "7", "--n1", "19"]) == 0
+    assert built == ["trifrac decide"]
+    assert build_parser.cache_info().currsize == 0
+    with pytest.raises(SystemExit):
+        main(["decide", *_VALID["decide"], "stray"])
+    assert built[0] == "trifrac decide" and len(built) == 1 + 1 + len(_VALID)
+    assert build_parser.cache_info().currsize == 1
+    capsys.readouterr()
+    assert cli._command_parser("decide") is cli._command_parser("decide")
+    assert build_parser() is build_parser()
 
 
 def _ints(lo, hi):
