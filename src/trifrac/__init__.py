@@ -1,16 +1,9 @@
 """trifrac: integer polynomial solutions of m/(n0 + n1*t) = 1/x + 1/y + 1/z."""
 
 from .base_solutions import BaseTriple, enumerate_base_solutions
-from .families import (
-    DiscriminantReport,
-    FamilySolution,
-    RoleTriple,
-    discriminant_identity,
-    minus_family,
-    plus_family,
-)
+from .families import FamilySolution, RoleTriple, minus_family, plus_family
 from .intmath import divisors, gcd, primes_up_to
-from .qpoly import RationalPoly, linear
+from .qpoly import RationalPoly
 from .scan_audit import (
     AuditInstance,
     AuditReport,
@@ -48,7 +41,6 @@ __all__ = [
     "BaseTriple",
     "DecisionOutcome",
     "DegreeReport",
-    "DiscriminantReport",
     "FamilySolution",
     "KlEvidence",
     "ParamFamily",
@@ -66,13 +58,11 @@ __all__ = [
     "audit_corollary4",
     "construct_solution",
     "decide",
-    "discriminant_identity",
     "divisors",
     "enumerate_base_solutions",
     "enumerate_kl",
     "gcd",
     "identity_holds",
-    "linear",
     "minus_family",
     "plus_family",
     "primes_up_to",

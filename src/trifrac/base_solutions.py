@@ -11,7 +11,6 @@ n0/m < a <= 3*n0/m.  All of it is exact integer arithmetic.
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -33,10 +32,6 @@ class BaseTriple(NamedTuple):
     a: int
     b: int
     c: int
-
-    def role_assignments(self) -> Iterator[tuple[int, int, int]]:
-        """Distinct ordered role assignments, in lexicographic order of the index permutations."""
-        return iter(dict.fromkeys(permutations(self)))
 
 
 def _walk(m: int, n0: int, n0_primes: dict[int, int], u: int) -> Iterator[tuple[int, int]]:

@@ -19,11 +19,10 @@ import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
-from pathlib import Path
 
 from .base_solutions import enumerate_base_solutions
 from .families import FamilySolution, RoleTriple, minus_family, plus_family
-from .qpoly import _MAX_ARG_DIGITS, RationalPoly
+from .qpoly import _MAX_ARG_DIGITS, MAX_FILE_BYTES, RationalPoly
 from .scan_audit import (AuditReport, ScanReport, audit_condition_i, audit_corollary3,
                          audit_corollary4, scan_residues)
 from .theorem import DecisionOutcome, PolyTriple, ResidueClass, analyze_degrees, decide, residual
@@ -296,8 +295,12 @@ def cmd_audit(args) -> int:
 
 
 def _load_triple(path: str) -> PolyTriple:
+    with open(path, "rb") as file:  # read no further than the cap, even from /dev/zero
+        data = file.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError(f"{path}: longer than the {MAX_FILE_BYTES} bytes accepted")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -18,19 +18,16 @@ The minus branch can only be integral when m divides n1, which the residue
 class forbids, so its integral flag is always False here.  The remaining
 degree candidates die elsewhere: a third-degree member would need real
 first-order coefficients whose discriminant n0^2 - (m*x0 - n0)*(m*z0 - n0)
-equals -m*n0*x0*z0/y0 < 0 (``discriminant_identity`` certifies this per
-triple), and the all-degree-1 pattern forces m < 4.
+equals -m*n0*x0*z0/y0 < 0 for every base triple, and the all-degree-1
+pattern forces m < 4.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .qpoly import RationalPoly
 from .theorem import PolyTriple, ResidueClass, identity_holds
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class RoleTriple(NamedTuple):
@@ -81,10 +78,9 @@ def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     x0, y0, z0 = rt
     _, n0, n1 = rc
     w = y0 + z0
-    x = RationalPoly.from_ints([x0 * n0, x0 * n1], n0)
-    z = RationalPoly.from_ints([z0 * n0 * w, n1 * y0 * z0], n0 * w)
-    y = RationalPoly.from_ints([y0 * n0 * n0 * w, y0 * n1 * n0 * (w + y0), (y0 * n1) ** 2],
-                               n0 * n0 * w)
+    x = RationalPoly([x0 * n0, x0 * n1], n0)
+    z = RationalPoly([z0 * n0 * w, n1 * y0 * z0], n0 * w)
+    y = RationalPoly([y0 * n0 * n0 * w, y0 * n1 * n0 * (w + y0), (y0 * n1) ** 2], n0 * n0 * w)
     return _checked(rc, rt, "plus", x, y, z)
 
 
@@ -94,35 +90,9 @@ def minus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
         rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
     m, n0, n1 = rc
-    x = RationalPoly.from_ints([x0 * m * z0, n1 * (x0 + z0)], m * z0)
-    z = RationalPoly.from_ints([z0 * m * x0, n1 * (x0 + z0)], m * x0)
-    y = RationalPoly.from_ints([y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0),
-                                n1 * n1 * (y0 * m - n0)], n0 * n0 * m)
+    x = RationalPoly([x0 * m * z0, n1 * (x0 + z0)], m * z0)
+    z = RationalPoly([z0 * m * x0, n1 * (x0 + z0)], m * x0)
+    y = RationalPoly([y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0), n1 * n1 * (y0 * m - n0)],
+                     n0 * n0 * m)
     return _checked(rc, rt, "minus", x, y, z)
 
-
-class DiscriminantReport(NamedTuple):
-    """Exact certificate that the degree-(1, 1, 3) pattern has no real
-    solution over this base: lhs = n0^2 - (m*x0 - n0)*(m*z0 - n0) equals
-    -m*n0*x0*z0/y0, which is negative."""
-
-    xbar0: int
-    zbar0: int
-    lhs: int
-    rhs: Fraction
-
-
-def discriminant_identity(rc: ResidueClass, rt: RoleTriple) -> DiscriminantReport:
-    from fractions import Fraction  # only here, so importing the CLI skips fractions
-    rt.check(rc.m, rc.n0)
-    x0, y0, z0 = rt
-    m, n0 = rc.m, rc.n0
-    xbar0 = m * x0 - n0
-    zbar0 = m * z0 - n0
-    lhs = n0 * n0 - xbar0 * zbar0
-    rhs = Fraction(-m * n0 * x0 * z0, y0)
-    if lhs != rhs or lhs >= 0:
-        raise ArithmeticError(
-            f"discriminant identity violated for {rt}: lhs = {lhs}, rhs = {rhs}"
-        )
-    return DiscriminantReport(xbar0=xbar0, zbar0=zbar0, lhs=lhs, rhs=rhs)

@@ -3,11 +3,11 @@
 A polynomial is the NamedTuple record ``(nums, den)``: integer numerators
 ``nums`` (constant term first) over one positive common denominator ``den``.
 It unpacks as ``nums, den = p`` and equals the plain tuple ``(nums, den)``.
-Every constructor reduces to a canonical form: the last numerator is nonzero
-and gcd(den, *nums) = 1, so equal polynomials have equal fields.  The zero
-polynomial is ``nums = ()``, ``den = 1`` and its degree is None.  All
-arithmetic is integer arithmetic, and degrees stay small, so a dense
-representation is the right one.
+Its one constructor, ``RationalPoly(nums, den=1)``, reduces to a canonical
+form: the last numerator is nonzero and gcd(den, *nums) = 1, so equal
+polynomials have equal fields.  The zero polynomial is ``nums = ()``,
+``den = 1`` and its degree is None.  All arithmetic is integer arithmetic,
+and degrees stay small, so a dense representation is the right one.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from __future__ import annotations
 import re
 import reprlib
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
-
-if TYPE_CHECKING:  # coefficients are read duck-typed: .numerator, .denominator
-    from fractions import Fraction
-    Coeff = int | Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 # What ``to_coeff_strings`` writes: an integer or p/q with q > 0, ASCII digits.
 _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
@@ -32,6 +28,9 @@ MAX_COEFF_CHARS = 1000
 # packed polynomials of the identity check.
 MAX_COEFFS = 1000
 MAX_DEN_DIGITS = 300
+# Most bytes of a `verify --file`: three members at both limits above take
+# 3,000,000, and a third as much again leaves room for quotes and whitespace.
+MAX_FILE_BYTES = 4 * MAX_COEFFS * MAX_COEFF_CHARS
 # Most digits of the m, n0 and n1 the CLI accepts, checked before any
 # arithmetic.  At every limit above, a failing verify's residual numerators
 # have at most 3*(1000 + 300) + 5 + 100 digits, under int()'s 4300-digit
@@ -53,34 +52,27 @@ class RationalPoly(_RationalPoly):
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: Iterable[Coeff] = ()):
-        cs = list(coeffs)
-        den = lcm(*(c.denominator for c in cs))
-        return cls.from_ints([c.numerator * (den // c.denominator) for c in cs], den)
-
-    @classmethod
-    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "RationalPoly":
+    def __new__(cls, nums: Iterable[int] = (), den: int = 1):
         """The polynomial with coefficients nums[i]/den, constant term first."""
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
-        nums = list(nums)
-        while nums and not nums[-1]:
-            nums.pop()
+        nums = tuple(nums)
+        while nums and not nums[-1]:  # trailing zeros are rare, and at most a few thousand
+            nums = nums[:-1]
         g = gcd(den, *nums)
         if g > 1:
             return tuple.__new__(cls, (tuple([c // g for c in nums]), den // g))
-        return tuple.__new__(cls, (tuple(nums), den))
+        return tuple.__new__(cls, (nums, den))
 
     @classmethod
     def _make(cls, iterable) -> "RationalPoly":  # canonical; _replace calls it too
-        nums, den = iterable
-        return cls.from_ints(nums, den)
+        return cls(*iterable)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild through from_ints too
-        return RationalPoly.from_ints, (list(self.nums), self.den)
+    def __reduce__(self):  # pickle and copy rebuild through the constructor too
+        return RationalPoly, tuple(self)
 
     @property
     def degree(self) -> int | None:
@@ -93,37 +85,18 @@ class RationalPoly(_RationalPoly):
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        (a, da), (b, db) = self, other
-        den = lcm(da, db)
-        a = [c * (den // da) for c in a]
-        b = [c * (den // db) for c in b]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return RationalPoly.from_ints(a, den)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly.from_ints([-c for c in self.nums], self.den)
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         (a, da), (b, db) = self, other
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return RationalPoly.from_ints(out, da * db)
+        return RationalPoly(out, da * db)
 
-    def __rmul__(self, other):  # never tuple repetition: 2 * p is a TypeError
-        return NotImplemented
+    def __rmul__(self, other):  # never tuple repetition or concatenation:
+        return NotImplemented  # 2 * p and p + q are TypeErrors
 
-    def scale(self, factor: Coeff) -> "RationalPoly":
-        return RationalPoly.from_ints([factor.numerator * c for c in self.nums],
-                                      self.den * factor.denominator)
+    __add__ = __rmul__
 
     def is_positive_integral(self) -> bool:
         """True iff nonzero and every stored coefficient is a positive integer."""
@@ -156,7 +129,7 @@ class RationalPoly(_RationalPoly):
             if den >= 10 ** MAX_DEN_DIGITS:
                 raise ValueError(f"common denominator of more than {MAX_DEN_DIGITS} digits; "
                                  f"at most {MAX_DEN_DIGITS} are accepted")
-        return cls.from_ints([p * (den // q) for p, q in pairs], den)
+        return cls([p * (den // q) for p, q in pairs], den)
 
     def format_text(self, var: str = "λ") -> str:
         """Human-readable form like "7 + 16λ + 9λ^2"; "0" for the zero polynomial."""
@@ -173,12 +146,8 @@ class RationalPoly(_RationalPoly):
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
-        return f"RationalPoly.from_ints({list(self.nums)!r}, {self.den})"
+        return f"RationalPoly({list(self.nums)!r}, {self.den})"
 
     def __str__(self) -> str:
         return self.format_text()
 
-
-def linear(c0: Coeff, c1: Coeff) -> RationalPoly:
-    """The polynomial c0 + c1*lambda."""
-    return RationalPoly([c0, c1])

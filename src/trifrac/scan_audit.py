@@ -106,10 +106,6 @@ class AuditReport(NamedTuple):
     def has_discrepancy(self) -> bool:
         return any(i.verdict == "discrepancy" for i in self.instances)
 
-    @property
-    def discrepancies(self) -> tuple[AuditInstance, ...]:
-        return tuple(i for i in self.instances if i.verdict == "discrepancy")
-
 
 def _check_bound(bound: int, least: int) -> None:
     if bound < least:

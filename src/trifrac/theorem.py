@@ -97,7 +97,7 @@ class ResidueClass(_ResidueClass):
 
     def n_poly(self) -> RationalPoly:
         """The denominator polynomial n(lambda) = n0 + n1*lambda."""
-        return RationalPoly.from_ints([self.n0, self.n1])
+        return RationalPoly([self.n0, self.n1])
 
 
 _ParamSet = NamedTuple("_ParamSet", [("k", int), ("l", int), ("s", int), ("r", int)])
@@ -285,9 +285,9 @@ def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
     """
     ps.check(rc)
     k, l, s, r = ps
-    x = RationalPoly.from_ints([k * rc.n0, k * rc.n1])
-    z = RationalPoly.from_ints([s * k * l // r, k * l])
-    y = rc.n_poly() * RationalPoly.from_ints([s, r])
+    x = RationalPoly([k * rc.n0, k * rc.n1])
+    z = RationalPoly([s * k * l // r, k * l])
+    y = rc.n_poly() * RationalPoly([s, r])
     return PolyTriple(x, y, z)
 
 
@@ -331,7 +331,7 @@ def residual(rc: ResidueClass, pt: PolyTriple) -> RationalPoly:
     digits = len(pt.x.nums) + len(pt.y.nums) + len(pt.z.nums)
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * digits, "little")
     raw = (packed + offset).to_bytes(size * digits, "little")
-    return RationalPoly.from_ints(
+    return RationalPoly(
         [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)],
         pt.x.den * pt.y.den * pt.z.den)
 

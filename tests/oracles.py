@@ -42,6 +42,34 @@ def poly_eval(p: RationalPoly, at) -> Fraction:
     return acc / p.den
 
 
+def poly(coeffs=()) -> RationalPoly:
+    """The polynomial with int or Fraction coefficients, constant term first."""
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in cs))
+    return RationalPoly([c.numerator * (den // c.denominator) for c in cs], den)
+
+
+def linear(c0, c1) -> RationalPoly:
+    """The polynomial c0 + c1*lambda."""
+    return poly([c0, c1])
+
+
+def role_assignments(triple) -> list[tuple[int, int, int]]:
+    """A triple's distinct orderings, in lexicographic order of the index permutations."""
+    return list(dict.fromkeys(permutations(triple)))
+
+
+def discriminant(m: int, n0: int, roles) -> tuple[int, int, int, Fraction]:
+    """(xbar0, zbar0, lhs, rhs) of the degree-(1, 1, 3) argument in the
+    ``families`` docstring, over a role triple (x0, y0, z0) of m/n0:
+    xbar0 = m*x0 - n0, zbar0 = m*z0 - n0, lhs = n0^2 - xbar0*zbar0 and
+    rhs = -m*n0*x0*z0/y0.  When 1/x0 + 1/y0 + 1/z0 = m/n0, lhs = rhs < 0, so
+    that pattern has no real first-order coefficients."""
+    x0, y0, z0 = roles
+    xbar0, zbar0 = m * x0 - n0, m * z0 - n0
+    return xbar0, zbar0, n0 * n0 - xbar0 * zbar0, Fraction(-m * n0 * x0 * z0, y0)
+
+
 def _convolve(a, b) -> list[int]:
     """Coefficients of the product of two integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -68,7 +96,7 @@ def identity_residual(rc: ResidueClass, pt: PolyTriple) -> RationalPoly:
         out += [0] * (len(term) - len(out))
         for i, c in enumerate(term):
             out[i] -= c
-    return RationalPoly.from_ints(out, d ** 3)
+    return RationalPoly(out, d ** 3)
 
 
 def identity_holds_at_points(rc: ResidueClass, pt: PolyTriple) -> bool:

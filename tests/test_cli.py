@@ -22,7 +22,7 @@ from trifrac import cli
 from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
 from trifrac.cli import _json, _outcome_json, _outcome_pieces, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
-from trifrac.qpoly import MAX_COEFFS
+from trifrac.qpoly import MAX_COEFFS, MAX_FILE_BYTES
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
 from trifrac.theorem import REASON_CONDITION_II, REASON_NO_BASE_TRIPLE, ResidueClass, decide
 
@@ -413,6 +413,26 @@ def test_verify_json_payload_degrees(capsys, tmp_path):
     assert payload["verified"] is True
     assert payload["degree_pattern"] == ["1", "1", "2"]
     assert payload["aux_degree"] == "1"
+
+
+def _verify_file(capsys, path):
+    return run(capsys, ["verify", "--m", "5", "--n0", "7", "--n1", "9", "--file", str(path)])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_verify_stops_reading_dev_zero_at_the_byte_cap(capsys):
+    assert _verify_file(capsys, "/dev/zero") == (
+        2, "", f"error: /dev/zero: longer than the {MAX_FILE_BYTES} bytes accepted\n")
+
+
+def test_verify_byte_cap(capsys, tmp_path):
+    path = tmp_path / "spaces.json"
+    path.write_bytes(b" " * MAX_FILE_BYTES)  # read whole, and whitespace alone is no JSON
+    code, _, err = _verify_file(capsys, path)
+    assert code == 2 and "not valid JSON" in err
+    path.write_bytes(b" " * (MAX_FILE_BYTES + 1))
+    assert _verify_file(capsys, path) == (
+        2, "", f"error: {path}: longer than the {MAX_FILE_BYTES} bytes accepted\n")
 
 
 def test_verify_missing_file_exits_2(capsys, tmp_path):

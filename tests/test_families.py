@@ -5,29 +5,15 @@ from fractions import Fraction
 
 import pytest
 from conftest import build_grid
-from oracles import identity_residual, poly_eval
+from oracles import discriminant, identity_residual, linear, poly, poly_eval, role_assignments
 
 from trifrac.base_solutions import enumerate_base_solutions
-from trifrac.families import (
-    RoleTriple,
-    _checked,
-    discriminant_identity,
-    minus_family,
-    plus_family,
-)
-from trifrac.intmath import gcd
-from trifrac.qpoly import RationalPoly, linear
+from trifrac.families import RoleTriple, _checked, minus_family, plus_family
+from trifrac.qpoly import RationalPoly
 from trifrac.theorem import ResidueClass, decide
 
 GOLDEN_RC = ResidueClass(5, 7, 9)
 GOLDEN_RT = RoleTriple(x0=14, y0=7, z0=2)
-
-
-def smallest_coprime_modulus(m: int, n0: int) -> int:
-    n1 = 2
-    while gcd(n1, n0) != 1 or gcd(n1, m) != 1:
-        n1 += 1
-    return n1
 
 
 def test_role_triple_invariant():
@@ -52,7 +38,7 @@ def test_plus_family_non_integral_for_19():
     fam = plus_family(ResidueClass(5, 7, 19), GOLDEN_RT)
     assert not fam.integral
     assert fam.triple.x == linear(14, 38)
-    assert fam.triple.z == RationalPoly([2, Fraction(38, 9)])
+    assert fam.triple.z == poly([2, Fraction(38, 9)])
     assert identity_residual(ResidueClass(5, 7, 19), fam.triple).is_zero()
 
 
@@ -74,7 +60,7 @@ def test_minus_family_rejects_invalid_role_triple():
 def test_broken_construction_raises_arithmetic_error():
     x, y, z = plus_family(GOLDEN_RC, GOLDEN_RT).triple
     with pytest.raises(ArithmeticError, match="plus-family construction broke"):
-        _checked(GOLDEN_RC, GOLDEN_RT, "plus", x, y, z + linear(0, 1))
+        _checked(GOLDEN_RC, GOLDEN_RT, "plus", x, y, z * linear(1, 1))
 
 
 def test_minus_family_golden_coefficients():
@@ -82,8 +68,8 @@ def test_minus_family_golden_coefficients():
     assert fam.branch == "minus"
     assert not fam.integral
     # z1 = (n1/m)*((x0 + z0)/x0) = (9/5)*(16/14)
-    assert fam.triple.z == RationalPoly([2, Fraction(72, 35)])
-    assert fam.triple.x == RationalPoly([14, Fraction(72, 5)])
+    assert fam.triple.z == poly([2, Fraction(72, 35)])
+    assert fam.triple.x == poly([14, Fraction(72, 5)])
     assert identity_residual(GOLDEN_RC, fam.triple).is_zero()
 
 
@@ -91,7 +77,7 @@ def test_minus_family_never_integral(small_grid):
     rng = random.Random(20240817)
     for rc in rng.sample(small_grid, 200):
         for bt in enumerate_base_solutions(rc.m, rc.n0):
-            for roles in bt.role_assignments():
+            for roles in role_assignments(bt):
                 assert not minus_family(rc, RoleTriple(*roles)).integral
 
 
@@ -99,7 +85,7 @@ def test_both_families_satisfy_identity_exactly(small_grid):
     rng = random.Random(52)
     for rc in rng.sample(small_grid, 60):
         for bt in enumerate_base_solutions(rc.m, rc.n0):
-            for roles in bt.role_assignments():
+            for roles in role_assignments(bt):
                 rt = RoleTriple(*roles)
                 for fam in (plus_family(rc, rt), minus_family(rc, rt)):
                     assert identity_residual(rc, fam.triple).is_zero()
@@ -146,7 +132,7 @@ def test_families_match_docstring_formulas_on_grid():
         if key not in branches:
             branches[key] = [(rt, _docstring_branches(*key, rt))
                              for bt in enumerate_base_solutions(*key)
-                             for rt in map(RoleTriple._make, bt.role_assignments())]
+                             for rt in map(RoleTriple._make, role_assignments(bt))]
         n1 = rc.n1
         for rt, both in branches[key]:
             for family, members in zip((plus_family, minus_family), both):
@@ -177,42 +163,31 @@ def test_scaled_base_exercises_rational_generality():
     fam = plus_family(rc, rt)
     assert identity_residual(rc, fam.triple).is_zero()
     assert not fam.integral
-    assert fam.triple.y == RationalPoly([14, 16, Fraction(9, 2)])
+    assert fam.triple.y == poly([14, 16, Fraction(9, 2)])
     fam_minus = minus_family(rc, rt)
     assert identity_residual(rc, fam_minus.triple).is_zero()
     assert not fam_minus.integral
 
 
-def test_discriminant_identity_golden():
-    report = discriminant_identity(GOLDEN_RC, GOLDEN_RT)
-    assert report.xbar0 == 63
-    assert report.zbar0 == 3
-    assert report.lhs == -140
-    assert report.rhs == Fraction(-140)
+def test_discriminant_golden():
+    assert discriminant(5, 7, GOLDEN_RT) == (63, 3, -140, Fraction(-140))
 
 
-def test_discriminant_identity_sweep_4_over_5():
+def test_discriminant_sweep_4_over_5():
     for bt in enumerate_base_solutions(4, 5):
-        for roles in bt.role_assignments():
-            rc = ResidueClass(4, 5, smallest_coprime_modulus(4, 5))
-            report = discriminant_identity(rc, RoleTriple(*roles))
-            assert report.lhs == report.rhs
-            assert report.lhs < 0
+        for roles in role_assignments(bt):
+            *_, lhs, rhs = discriminant(4, 5, roles)
+            assert lhs == rhs < 0
 
 
-def test_discriminant_identity_rejects_invalid_role_triple():
-    with pytest.raises(ValueError, match="does not solve"):
-        discriminant_identity(GOLDEN_RC, RoleTriple(1, 2, 3))
+def test_discriminant_needs_a_solving_role_triple():
+    *_, lhs, rhs = discriminant(5, 7, RoleTriple(1, 2, 3))
+    assert lhs != rhs
 
 
 def test_every_enumerated_triple_passes_discriminant(small_grid):
-    seen = set()
-    for rc in small_grid:
-        key = (rc.m, rc.n0)
-        if key in seen:
-            continue
-        seen.add(key)
-        for bt in enumerate_base_solutions(rc.m, rc.n0):
-            for roles in bt.role_assignments():
-                report = discriminant_identity(rc, RoleTriple(*roles))
-                assert report.lhs == report.rhs < 0
+    for m, n0 in {(rc.m, rc.n0) for rc in small_grid}:
+        for bt in enumerate_base_solutions(m, n0):
+            for roles in role_assignments(bt):
+                *_, lhs, rhs = discriminant(m, n0, roles)
+                assert lhs == rhs < 0

@@ -8,27 +8,21 @@ from math import gcd
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import poly_eval
+from oracles import linear, poly, poly_eval
 
-from trifrac.qpoly import MAX_DEN_DIGITS, RationalPoly, linear
+from trifrac.qpoly import MAX_DEN_DIGITS, RationalPoly
 
 ZERO = RationalPoly()
 ONE = RationalPoly([1])
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 coeff_lists = st.lists(coeffs, min_size=0, max_size=4)
-polys = coeff_lists.map(RationalPoly)
-
-
-def test_add_examples():
-    assert linear(1, 1) + ZERO == linear(1, 1)
-    assert linear(7, 9) + linear(-7, -9) == ZERO
-    assert linear(2, 2) + linear(5, 7) == linear(7, 9)
+polys = coeff_lists.map(poly)
 
 
 def test_mul_examples():
     assert linear(1, 1) * linear(7, 9) == RationalPoly([7, 16, 9])
-    p = RationalPoly([3, Fraction(1, 2), 5])
+    p = poly([3, Fraction(1, 2), 5])
     assert p * ONE == p
     assert linear(1, 1) * ZERO == ZERO
 
@@ -38,7 +32,7 @@ def test_eval_examples():
     assert poly_eval(linear(7, 9), 1) == 16
     assert poly_eval(ZERO, 5) == 0
     assert poly_eval(RationalPoly([7, 16, 9]), Fraction(1, 3)) == 7 + Fraction(16, 3) + 1
-    assert poly_eval(RationalPoly([Fraction(1, 2), Fraction(3, 4)]), 2) == 2
+    assert poly_eval(poly([Fraction(1, 2), Fraction(3, 4)]), 2) == 2
 
 
 def test_degree_and_normalization():
@@ -51,7 +45,7 @@ def test_degree_and_normalization():
 
 def test_is_positive_integral():
     assert linear(2, 2).is_positive_integral()
-    assert not RationalPoly([7, Fraction(9, 5)]).is_positive_integral()
+    assert not poly([7, Fraction(9, 5)]).is_positive_integral()
     assert not ZERO.is_positive_integral()
     assert not RationalPoly([1, 0, 1]).is_positive_integral()  # stored zero
     assert not linear(-1, 2).is_positive_integral()
@@ -67,57 +61,57 @@ def test_immutability_and_hash():
 
 
 def test_record_unpacks_and_equals_the_plain_tuple():
-    p = RationalPoly([7, Fraction(9, 5)])
+    p = poly([7, Fraction(9, 5)])
     nums, den = p
     assert (nums, den) == ((35, 9), 5) == p
     assert hash(p) == hash(((35, 9), 5))
     assert not ZERO and ZERO == ((), 1)  # a 2-tuple, yet false when zero
 
 
-def test_no_tuple_repetition():
-    p = linear(1, 2)
-    with pytest.raises(TypeError):
-        2 * p
-    with pytest.raises(TypeError):
-        p * 2
+def test_no_operator_but_mul():
+    """Neither tuple concatenation nor repetition, and no +, - or negation."""
+    p, q = linear(1, 2), linear(3, 4)
+    for op in (lambda: p + q, lambda: p + (1,), lambda: 2 * p, lambda: p * 2,
+               lambda: -p, lambda: p - q):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_repr_round_trips():
+    assert repr(poly([7, Fraction(9, 5)])) == "RationalPoly([35, 9], 5)"
+    for p in (ZERO, linear(-1, 2), poly([3, Fraction(1, 2), 5])):
+        assert eval(repr(p)) == p
 
 
 def test_make_and_replace_stay_canonical():
     made = RationalPoly._make(((2, 4), 6))
-    assert made == RationalPoly.from_ints([2, 4], 6) == ((1, 2), 3)
+    assert made == RationalPoly([2, 4, 0], 6) == ((1, 2), 3)
     assert type(made) is RationalPoly
-    assert linear(1, 2)._replace(den=4) == RationalPoly([Fraction(1, 4), Fraction(1, 2)])
+    assert linear(1, 2)._replace(den=4) == poly([Fraction(1, 4), Fraction(1, 2)])
     assert linear(1, 2)._replace(nums=(6, 4, 0), den=2) == linear(3, 2)
     for bad in (((1,), 0), ((1,), -3)):
         with pytest.raises(ValueError, match="denominator must be >= 1"):
             RationalPoly._make(bad)
     with pytest.raises(ValueError, match="denominator must be >= 1"):
         linear(1, 2)._replace(den=0)
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        RationalPoly([1], 0)
 
 
-def test_pickle_and_copies_rebuild_through_from_ints(monkeypatch):
-    p = RationalPoly([3, Fraction(1, 2)])
-    data = pickle.dumps(p)
-    built = []
-    from_ints = RationalPoly.from_ints.__func__
-
-    def recording(cls, nums, den=1):
-        built.append((list(nums), den))
-        return from_ints(cls, nums, den)
-
-    monkeypatch.setattr(RationalPoly, "from_ints", classmethod(recording))
-    for q in (pickle.loads(data), copy.deepcopy(p), copy.copy(p)):
-        assert q == p and type(q) is RationalPoly
-    assert built == [([6, 1], 2)] * 3
+def test_pickle_and_copies_rebuild_through_the_constructor():
+    """Even a record made around the constructor comes back canonical."""
+    raw = tuple.__new__(RationalPoly, ((2, 4, 0), 6))
+    copies = [copy.copy(raw), copy.deepcopy(raw), raw._replace()]
+    copies += [pickle.loads(pickle.dumps(raw, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for q in copies:
+        assert q == ((1, 2), 3) and type(q) is RationalPoly
 
 
 @given(polys, polys, polys)
-def test_ring_axioms(p, q, r):
-    assert (p + q) + r == p + (q + r)
-    assert p + q == q + p
+def test_mul_is_commutative_and_associative(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
 
 
 @given(polys, polys)
@@ -129,9 +123,8 @@ def test_degree_of_product(p, q):
 
 
 @given(polys, polys, coeffs)
-def test_eval_is_ring_homomorphism(p, q, a):
+def test_eval_is_multiplicative(p, q, a):
     assert poly_eval(p * q, a) == poly_eval(p, a) * poly_eval(q, a)
-    assert poly_eval(p + q, a) == poly_eval(p, a) + poly_eval(q, a)
 
 
 def _trim(cs: list[Fraction]) -> list[Fraction]:
@@ -149,22 +142,16 @@ def _fractions(p: RationalPoly) -> list[Fraction]:
     return [Fraction(c, p.den) for c in p.nums]
 
 
-@given(coeff_lists, coeff_lists, coeffs)
-def test_operations_match_fraction_list_reference(a, b, f):
-    p, q = RationalPoly(a), RationalPoly(b)
-    width = max(len(a), len(b))
-    pa = a + [Fraction(0)] * (width - len(a))
-    pb = b + [Fraction(0)] * (width - len(b))
+@given(coeff_lists, coeff_lists)
+def test_operations_match_fraction_list_reference(a, b):
+    p, q = poly(a), poly(b)
     product = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             product[i + j] += ca * cb
 
     assert _fractions(p) == _trim(a)
-    assert _fractions(p + q) == _trim([x + y for x, y in zip(pa, pb)])
-    assert _fractions(p - q) == _trim([x - y for x, y in zip(pa, pb)])
     assert _fractions(p * q) == _trim(product)
-    assert _fractions(p.scale(f)) == _trim([f * c for c in a])
     assert p.degree == (len(_trim(a)) - 1 if _trim(a) else None)
     assert p.to_coeff_strings() == [str(c) for c in _trim(a)]
     parsed = RationalPoly.from_coeff_strings([str(c) for c in a])
@@ -176,7 +163,7 @@ def test_coeff_string_serialization():
     p = RationalPoly([7, 16, 9])
     assert p.to_coeff_strings() == ["7", "16", "9"]
     assert RationalPoly.from_coeff_strings(["7", "16", "9"]) == p
-    q = RationalPoly([7, Fraction(9, 5)])
+    q = poly([7, Fraction(9, 5)])
     assert q.to_coeff_strings() == ["7", "9/5"]
     assert RationalPoly.from_coeff_strings(["7", "9/5"]) == q
 
@@ -200,6 +187,6 @@ def test_format_text():
     assert RationalPoly([7, 16, 9]).format_text() == "7 + 16λ + 9λ^2"
     assert linear(2, 2).format_text() == "2 + 2λ"
     assert ZERO.format_text() == "0"
-    assert RationalPoly([7, Fraction(9, 5)]).format_text() == "7 + (9/5)λ"
+    assert poly([7, Fraction(9, 5)]).format_text() == "7 + (9/5)λ"
     assert RationalPoly([7, -2]).format_text() == "7 - 2λ"
     assert RationalPoly([0, 0, 3]).format_text() == "3λ^2"

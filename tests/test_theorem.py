@@ -5,7 +5,7 @@ import pickle
 import random
 from copy import deepcopy
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +20,10 @@ from oracles import (
     identity_residual,
     is_quadratic_residue,
     kl_square_sieve,
+    linear,
+    poly,
     poly_eval,
+    role_assignments,
     search_condition_iii,
     trial_divisors,
     walk_decide,
@@ -31,7 +34,7 @@ from trifrac.base_solutions import MAX_WALK_DIVISORS, enumerate_base_solutions
 from trifrac.cli import main
 from trifrac.families import RoleTriple, minus_family, plus_family
 from trifrac.intmath import gcd, primes_up_to
-from trifrac.qpoly import RationalPoly, linear
+from trifrac.qpoly import RationalPoly
 from trifrac.scan_audit import scan_residues
 from trifrac.theorem import (
     ParamFamily,
@@ -97,17 +100,17 @@ def test_records_validate_on_every_construction_path():
 def test_records_survive_pickle_and_deepcopy():
     """Every record, polynomials inside it included, round-trips through
     pickle and copy.deepcopy, and RationalPoly stays immutable."""
-    poly = RationalPoly([Fraction(1, 2), 3, Fraction(-5, 6)])
+    p = poly([Fraction(1, 2), 3, Fraction(-5, 6)])
     outcome = decide(GOLDEN_RC)
-    records = [poly, outcome.solutions[0][1], outcome,
+    records = [p, outcome.solutions[0][1], outcome,
                plus_family(GOLDEN_RC, RoleTriple(x0=14, y0=7, z0=2)), scan_residues(5, 9)]
     for record in records:
         for copy in (pickle.loads(pickle.dumps(record)), deepcopy(record)):
             assert copy == record and type(copy) is type(record)
     with pytest.raises(AttributeError, match="immutable"):
-        poly.den = 1
+        p.den = 1
     with pytest.raises(AttributeError, match="immutable"):
-        deepcopy(poly).nums = ()
+        deepcopy(p).nums = ()
 
 
 # ------------------------------------------------------------ condition i
@@ -277,7 +280,7 @@ def test_verify_identity_golden_and_perturbed():
 
 
 def test_verify_identity_rejects_non_integral():
-    pt = PolyTriple(x=linear(14, 18), y=RationalPoly([7, 16, 9]), z=RationalPoly([2, Fraction(1, 2)]))
+    pt = PolyTriple(x=linear(14, 18), y=RationalPoly([7, 16, 9]), z=poly([2, Fraction(1, 2)]))
     assert not verify_identity(GOLDEN_RC, pt)
 
 
@@ -325,7 +328,7 @@ def near_miss(rc: ResidueClass, x0: int, y0: int, deg: int) -> PolyTriple:
     for v in reversed(top[1:]):
         carry = (v - q0 * carry) / q1
         quotient.append(carry)
-    z = RationalPoly(reversed(quotient))
+    z = poly(reversed(quotient))
     assert top[0] == q0 * quotient[-1]
     return PolyTriple(x=RationalPoly([x0]), y=RationalPoly([y0]), z=z)
 
@@ -360,7 +363,7 @@ def rational_triples(draw):
         assume(q0 % ((x0 + y0) * rc.n1) or not 0 <= q0 // ((x0 + y0) * rc.n1) <= deg)
         return rc, near_miss(rc, x0, y0, deg)
     if kind == "family":
-        roles = [r for t in enumerate_base_solutions(rc.m, rc.n0) for r in t.role_assignments()]
+        roles = [r for t in enumerate_base_solutions(rc.m, rc.n0) for r in role_assignments(t)]
         family = draw(st.sampled_from([plus_family, minus_family]))
         fam = family(rc, RoleTriple(*draw(st.sampled_from(roles))))
         members = [fam.triple.x, fam.triple.y, fam.triple.z]
@@ -370,12 +373,12 @@ def rational_triples(draw):
             j = draw(st.integers(0, len(nums)))
             nums += [Fraction(0)] * (j + 1 - len(nums))
             nums[j] += draw(COEFFS.filter(bool))
-            members[i] = RationalPoly(nums)
+            members[i] = poly(nums)
         return rc, PolyTriple(*members)
     sizes = [draw(st.integers(1, 4)) for _ in range(3)]
     if kind == "constant":
         sizes[draw(st.integers(0, 2))] = 1
-    return rc, PolyTriple(*(RationalPoly(draw(st.lists(COEFFS, min_size=n, max_size=n)))
+    return rc, PolyTriple(*(poly(draw(st.lists(COEFFS, min_size=n, max_size=n)))
                             for n in sizes))
 
 
@@ -404,7 +407,7 @@ def test_residual_matches_the_oracle_on_edge_triples(members):
     """Negative coefficients, zero and constant members, and coefficients
     near 10^30, where the digits of the packed value are widest."""
     for rc in (GOLDEN_RC, ResidueClass(7, BIG + 1, BIG)):
-        pt = PolyTriple(*(RationalPoly(c) for c in members))
+        pt = PolyTriple(*(poly(c) for c in members))
         expected = identity_residual(rc, pt)
         assert residual(rc, pt) == expected
         assert identity_holds(rc, pt) == expected.is_zero() == identity_holds_at_points(rc, pt)
@@ -750,7 +753,9 @@ def test_analyze_degrees_aux_degree_matches_the_product(full_grid):
     for rc in full_grid:
         for _, pt in decide(rc).solutions:
             x, z = sorted(pt, key=lambda p: p.degree)[:2]
-            aux = (x * z).scale(rc.m) - rc.n_poly() * (x + z)
+            xz, nx, nz = ([Fraction(c, p.den) for c in p.nums]
+                          for p in (x * z, rc.n_poly() * x, rc.n_poly() * z))
+            aux = poly([rc.m * a - b - c for a, b, c in zip_longest(xz, nx, nz, fillvalue=0)])
             assert analyze_degrees(rc, pt).aux_degree == aux.degree == 1, rc
             solutions += 1
     assert solutions == 716
@@ -776,9 +781,9 @@ def test_no_all_degree_one_solution_exists():
         tails = [t for t in enumerate_base_solutions(rc.m, rc.n1) if t.c <= 30]
         candidates = 0
         for h in heads:
-            for const in h.role_assignments():
+            for const in role_assignments(h):
                 for t in tails:
-                    for lead in t.role_assignments():
+                    for lead in role_assignments(t):
                         pt = PolyTriple(
                             x=linear(const[0], lead[0]),
                             y=linear(const[1], lead[1]),
