@@ -1,13 +1,14 @@
 """Command-line frontend: decide, scan, base, family, audit, verify.
 
 Output formats are text (default), json and csv.  Each command hands ``_emit``
-one renderer per format, and only the one ``--format`` asks for runs.  JSON has
-sorted keys under an envelope (``schema_version`` and ``command``); outcomes are
-written by their shape, and scan and audit rows, evidence and (k, l) items and
-text lines one at a time.  Every mathematical integer is a decimal string so
-arbitrary precision survives any consumer.  Exit codes: 0 the run completed, 2 a
-precondition or parse error was rejected, 3 an audit or verification found a
-discrepancy.
+one renderer per format, and only the one ``--format`` asks for runs.  JSON is
+what ``json.dumps(indent=2, sort_keys=True)`` writes, under an envelope
+(``schema_version`` and ``command``); outcomes and audit instances are filled
+into templates of their shape, and scan and audit rows, evidence and (k, l)
+items and text lines are written one at a time.  Every mathematical integer is
+a decimal string so arbitrary precision survives any consumer.  Exit codes: 0
+the run completed, 2 a precondition or parse error was rejected, 3 an audit or
+verification found a discrepancy.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ def _table(rows: list[dict]) -> list[list[str]]:
     return [fields] + [[row.get(key, "") for key in fields] for row in rows]
 
 
-# Evidence, (k, l) and solution items of an outcome, and an audit instance, as ``_json``
+# Every JSON document the CLI writes is ``_dumps`` of its dict form.
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True)
+# ``_dumps`` of the string "\0", the hole that ``_splice`` fills with a list of items.
+_HOLE = _dumps("\0")
+
+# Evidence, (k, l) and solution items of an outcome, and an audit instance, as ``_dumps``
 # lays them out in an object at depth 0; decimal strings go in without escaping.
 _KL_PAIR = '{\n      "k": "%s",\n      "l": "%s"\n    }'
 _EVIDENCE = ('{\n      "family": %s,\n      "k": "%s",\n      "l": "%s",\n      "r0": "%s",'
@@ -79,7 +85,7 @@ def _evidence_json(ev) -> str:
 
 
 def _outcome_frame(outcome: DecisionOutcome, evidence: str, kl_pairs: str, envelope=None) -> str:
-    """``_json`` of an outcome's dict form and ``envelope``, evidence and kl_pairs as given."""
+    """``_dumps`` of an outcome's dict form and ``envelope``, evidence and kl_pairs as given."""
     solutions = [_SOLUTION % (ps.k, ps.l, ps.r, ps.s, *(_wrap("[]", list(map(
         _escape, p.to_coeff_strings())), "\n      ") for p in pt)) for ps, pt in outcome.solutions]
     members = ['"evidence": ' + evidence, '"kl_pairs": ' + kl_pairs,
@@ -87,12 +93,12 @@ def _outcome_frame(outcome: DecisionOutcome, evidence: str, kl_pairs: str, envel
                '"solutions": ' + _wrap("[]", solutions, "\n  "),
                '"status": ' + _escape(outcome.status)]
     if envelope:  # members of these plain keys sort as their keys do
-        members = sorted(members + [f'"{key}": {_json(v)}' for key, v in envelope.items()])
+        members = sorted(members + [f'"{key}": {json.dumps(v)}' for key, v in envelope.items()])
     return _wrap("{}", members, "\n")
 
 
 def _outcome_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
-    """``_json`` of an outcome's dict form at ``indent``."""
+    """``_dumps`` of an outcome's dict form at ``indent``."""
     text = _outcome_frame(outcome, _wrap("[]", list(map(_evidence_json, outcome.evidence)), "\n  "),
                           _kl_json(outcome.kl_pairs))
     return text if indent == "\n" else text.replace("\n", indent)  # strings hold no raw newline
@@ -100,14 +106,14 @@ def _outcome_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
 
 def _outcome_pieces(outcome: DecisionOutcome, envelope: dict):
     """``_outcome_frame`` with ``envelope`` in pieces, one an evidence or (k, l) item."""
-    return _splice(_outcome_frame(outcome, "\0", "\0", envelope),
+    return _splice(_outcome_frame(outcome, _HOLE, _HOLE, envelope),
                    map(_evidence_json, outcome.evidence), map(_KL_PAIR.__mod__, outcome.kl_pairs))
 
 
 def _splice(text: str, *lists):
-    """``text`` in pieces, its raw NULs (any other is escaped) replaced in turn by the
-    ``lists`` of items: lists in an object at depth 0, items laid out at depth 2."""
-    head, *tails = text.split("\0")
+    """``text`` in pieces, its ``_HOLE``s replaced in turn by the ``lists`` of items:
+    lists in an object at depth 0, items laid out at depth 2."""
+    head, *tails = text.split(_HOLE)
     yield head
     for items, tail in zip(lists, tails):
         sep = "[\n    "
@@ -118,8 +124,8 @@ def _splice(text: str, *lists):
 
 
 def _stream(payload: dict, key: str, items):
-    """``_json(payload)`` in pieces, ``payload[key]`` the list of ``items`` at depth 0."""
-    return _splice(_json(payload | {key: _Raw("\0")}), (item.replace("\n", "\n    ") for item in items))
+    """``_dumps(payload)`` in pieces, ``payload[key]`` the list of ``items`` at depth 0."""
+    return _splice(_dumps(payload | {key: "\0"}), (item.replace("\n", "\n    ") for item in items))
 
 
 def _outcome_text(outcome: DecisionOutcome):
@@ -137,35 +143,10 @@ def _outcome_text(outcome: DecisionOutcome):
         yield f"(k={ev.k}, l={ev.l}): family {ev.family}; {ev.reason}"
 
 
-class _Raw(str):
-    """Rendered JSON text, which ``_json`` inserts as it stands."""
-
-
 def _wrap(ends: str, items: list[str], indent: str) -> str:
     """Rendered ``items`` between ``ends``, one a line at ``indent`` + 2 spaces."""
     inner = indent + "  "
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
-
-
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` over str-keyed dicts, lists, tuples,
-    str, int, bool and None, with the C string escaper, and a ``_Raw`` as it stands; else
-    TypeError.  ``indent`` is the newline and spaces that start a line at this depth."""
-    if isinstance(value, str):
-        return value if type(value) is _Raw else _escape(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):  # before int: True == 1
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        return _wrap("{}", [f"{_escape(k)}: {_json(v, inner)}"
-                            for k, v in sorted(value.items())], indent)
-    if isinstance(value, (list, tuple)):
-        return _wrap("[]", [_json(v, inner) for v in value], indent)
-    raise TypeError(f"{type(value).__name__} is not part of the JSON payload vocabulary")
 
 
 def _decide_csv(outcome: DecisionOutcome) -> list[list[str]]:
@@ -198,7 +179,7 @@ def _audit_json(report: AuditReport, envelope: dict):
     payload = envelope | {"audit": report.audit, "m": str(report.m), "bound": str(report.bound),
                           "has_discrepancy": report.has_discrepancy}
     return _stream(payload, "instances", (_INSTANCE % (
-        _json(inst.detail), _kl_json(inst.kl_pairs), inst.prime, _json(inst.verdict),
+        _escape(inst.detail), _kl_json(inst.kl_pairs), inst.prime, _escape(inst.verdict),
         _wrap("[]", [_outcome_json(w, "\n    ") for w in inst.witnesses], "\n  "))
         for inst in report.instances))
 
@@ -249,7 +230,7 @@ def cmd_base(args) -> int:
     triples = enumerate_base_solutions(args.m, args.n0)
     rows = [[str(t.a), str(t.b), str(t.c)] for t in triples]
     payload = {"m": str(args.m), "n0": str(args.n0), "triples": rows}
-    _emit(args, lambda envelope: [_json(envelope | payload)],
+    _emit(args, lambda envelope: [_dumps(envelope | payload)],
           lambda: [f"{args.m}/{args.n0} = 1/a + 1/b + 1/c : {len(triples)} solution(s)",
                    *(f"  {{{t.a}, {t.b}, {t.c}}}" for t in triples)],
           lambda: [["a", "b", "c"], *rows])
@@ -275,7 +256,7 @@ def cmd_family(args) -> int:
     fam: FamilySolution = (plus_family if args.branch == "plus" else minus_family)(rc, rt)
     pt = fam.triple
     _emit(args,
-          lambda envelope: [_json(envelope | _fields_json(rc) | {
+          lambda envelope: [_dumps(envelope | _fields_json(rc) | {
               **{name: getattr(pt, name).to_coeff_strings() for name in "xyz"},
               "branch": fam.branch, "roles": _fields_json(rt),
               "integral": fam.integral, "degenerate": fam.degenerate})],
@@ -341,7 +322,7 @@ def cmd_verify(args) -> int:
                     "aux_degree": str(report.aux_degree)}
         elif not holds:
             out["residual"] = res.to_coeff_strings()
-        return [_json(out)]
+        return [_dumps(out)]
 
     def text() -> list[str]:
         if ok:

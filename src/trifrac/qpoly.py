@@ -98,6 +98,10 @@ class RationalPoly(_RationalPoly):
 
     __add__ = __rmul__
 
+    def __radd__(self, other):  # runs before a tuple's +, which concatenates unless this raises
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} "
+                        "and 'RationalPoly'")
+
     def is_positive_integral(self) -> bool:
         """True iff nonzero and every stored coefficient is a positive integer."""
         return self.den == 1 and bool(self.nums) and all(c > 0 for c in self.nums)

@@ -95,10 +95,6 @@ class ResidueClass(_ResidueClass):
         _check_class(m, n0, n1)
         return tuple.__new__(cls, (m, n0, n1))
 
-    def n_poly(self) -> RationalPoly:
-        """The denominator polynomial n(lambda) = n0 + n1*lambda."""
-        return RationalPoly([self.n0, self.n1])
-
 
 _ParamSet = NamedTuple("_ParamSet", [("k", int), ("l", int), ("s", int), ("r", int)])
 
@@ -287,7 +283,7 @@ def construct_solution(rc: ResidueClass, ps: ParamSet) -> PolyTriple:
     k, l, s, r = ps
     x = RationalPoly([k * rc.n0, k * rc.n1])
     z = RationalPoly([s * k * l // r, k * l])
-    y = rc.n_poly() * RationalPoly([s, r])
+    y = RationalPoly([rc.n0, rc.n1]) * RationalPoly([s, r])
     return PolyTriple(x, y, z)
 
 

@@ -43,7 +43,7 @@ def test_criterion_1_golden_7_mod_9():
         assert pt.y == RationalPoly([7, 16, 9])
         assert pt.z == linear(2, 2)
         # the stated closed form: x = 2n, z = 2(1 + lambda), y = (1 + lambda)n
-        n = ResidueClass(5, 7, 9).n_poly()
+        n = RationalPoly([7, 9])
         assert pt.x == RationalPoly([2]) * n
         assert pt.z == RationalPoly([2]) * linear(1, 1)
         assert pt.y == linear(1, 1) * n

@@ -20,7 +20,7 @@ from oracles import outcome_dict
 from test_golden import CASES, GOLDEN_DIR, run_cli
 from trifrac import cli
 from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
-from trifrac.cli import _json, _outcome_json, _outcome_pieces, build_parser, main
+from trifrac.cli import _outcome_json, _outcome_pieces, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT
 from trifrac.qpoly import MAX_COEFFS, MAX_FILE_BYTES
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
@@ -706,34 +706,6 @@ def test_verify_fuzz_payloads(tmp_path_factory, payload, fmt):
         assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
-_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**40, 10**40)
-                | st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028\U0001f600')))
-_JSON_TREES = st.recursive(
-    _JSON_LEAVES,
-    lambda kids: (st.lists(kids, max_size=3)
-                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(_JSON_TREES)
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-def test_json_writer_fixed_cases():
-    assert _json({"schema_version": 1}) == '{\n  "schema_version": 1\n}'
-    assert _json({"b": True, "a": (0, [])}) == json.dumps({"a": [0, []], "b": True}, indent=2)
-    assert _json(()) == "[]" and _json({}) == "{}"
-
-
-@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "one"}, [{"k": {None: 0}}]])
-def test_json_writer_rejects_values_outside_the_payload_vocabulary(value):
-    with pytest.raises(TypeError):
-        _json(value)
-
-
 def test_outcome_writer_matches_json_dumps_of_the_dict_form():
     # every decide outcome of m 4..7, n1 < 60, n0 < n1, and the 960-pair class
     outcomes = [decide(rc) for rc in build_grid(range(4, 8), 59)]
@@ -758,7 +730,7 @@ def test_outcome_writer_matches_json_dumps_of_the_dict_form():
 # Each format's renderers for decide, scan and audit: any one of them running
 # for another format is wasted work.
 _RENDERERS = {
-    "json": ("_json", "_outcome_json", "_outcome_pieces"),
+    "json": ("_dumps", "_outcome_json", "_outcome_pieces"),
     "text": ("_outcome_text", "_scan_text", "_audit_text"),
     "csv": ("_decide_csv", "_scan_csv", "_audit_csv"),
 }

@@ -173,21 +173,6 @@ def test_discriminant_golden():
     assert discriminant(5, 7, GOLDEN_RT) == (63, 3, -140, Fraction(-140))
 
 
-def test_discriminant_sweep_4_over_5():
-    for bt in enumerate_base_solutions(4, 5):
-        for roles in role_assignments(bt):
-            *_, lhs, rhs = discriminant(4, 5, roles)
-            assert lhs == rhs < 0
-
-
 def test_discriminant_needs_a_solving_role_triple():
     *_, lhs, rhs = discriminant(5, 7, RoleTriple(1, 2, 3))
     assert lhs != rhs
-
-
-def test_every_enumerated_triple_passes_discriminant(small_grid):
-    for m, n0 in {(rc.m, rc.n0) for rc in small_grid}:
-        for bt in enumerate_base_solutions(m, n0):
-            for roles in role_assignments(bt):
-                *_, lhs, rhs = discriminant(m, n0, roles)
-                assert lhs == rhs < 0

@@ -84,6 +84,12 @@ def test_cli_transcript_matches_golden(name):
     assert out == (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.endswith("-json")))
+def test_json_golden_is_what_json_dumps_writes(name):
+    text = (GOLDEN_DIR / f"{name}.out").read_bytes().decode("utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_manifest_and_files_match_cases():
     assert sorted(_manifest()) == sorted(CASES)
     inputs = {tok for argv in CASES.values() for tok in argv if tok.endswith(".in.json")}

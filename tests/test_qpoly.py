@@ -72,7 +72,7 @@ def test_no_operator_but_mul():
     """Neither tuple concatenation nor repetition, and no +, - or negation."""
     p, q = linear(1, 2), linear(3, 4)
     for op in (lambda: p + q, lambda: p + (1,), lambda: 2 * p, lambda: p * 2,
-               lambda: -p, lambda: p - q):
+               lambda: -p, lambda: p - q, lambda: (1,) + p):
         with pytest.raises(TypeError):
             op()
 

@@ -285,7 +285,7 @@ def test_verify_identity_rejects_non_integral():
 
 
 def test_verify_identity_all_equal_n_fails_for_m_at_least_4():
-    n = GOLDEN_RC.n_poly()
+    n = RationalPoly([GOLDEN_RC.n0, GOLDEN_RC.n1])
     assert not verify_identity(GOLDEN_RC, PolyTriple(x=n, y=n, z=n))
 
 
@@ -753,8 +753,8 @@ def test_analyze_degrees_aux_degree_matches_the_product(full_grid):
     for rc in full_grid:
         for _, pt in decide(rc).solutions:
             x, z = sorted(pt, key=lambda p: p.degree)[:2]
-            xz, nx, nz = ([Fraction(c, p.den) for c in p.nums]
-                          for p in (x * z, rc.n_poly() * x, rc.n_poly() * z))
+            n = RationalPoly([rc.n0, rc.n1])
+            xz, nx, nz = ([Fraction(c, p.den) for c in p.nums] for p in (x * z, n * x, n * z))
             aux = poly([rc.m * a - b - c for a, b, c in zip_longest(xz, nx, nz, fillvalue=0)])
             assert analyze_degrees(rc, pt).aux_degree == aux.degree == 1, rc
             solutions += 1
