@@ -64,8 +64,9 @@ _dumps = functools.partial(json.dumps, indent=2, sort_keys=True)
 # ``_dumps`` of the string "\0", the hole that ``_splice`` fills with a list of items.
 _HOLE = _dumps("\0")
 
-# Evidence, (k, l) and solution items of an outcome, and an audit instance, as ``_dumps``
-# lays them out in an object at depth 0; decimal strings go in without escaping.
+# Evidence, (k, l) and solution items of an outcome, an outcome (bare, or with decide's envelope
+# members in their sorted places) and an audit instance, as ``_dumps`` lays them out in an
+# object at depth 0; decimal strings go in without escaping.
 _KL_PAIR = '{\n      "k": "%s",\n      "l": "%s"\n    }'
 _EVIDENCE = ('{\n      "family": %s,\n      "k": "%s",\n      "l": "%s",\n      "r0": "%s",'
              '\n      "reason": %s,\n      "s0": "%s"\n    }')
@@ -73,6 +74,10 @@ _SOLUTION = ('{\n      "params": {\n        "k": "%s",\n        "l": "%s",\n    
              '\n        "s": "%s"\n      },\n      "x": %s,\n      "y": %s,\n      "z": %s\n    }')
 _INSTANCE = ('{\n  "detail": %s,\n  "kl_pairs": %s,\n  "p": "%s",\n  "verdict": %s,'
              '\n  "witnesses": %s\n}')
+_OUTCOME = ('{\n  "evidence": %s,\n  "kl_pairs": %s,\n  "m": "%s",\n  "n0": "%s",\n  "n1": "%s",'
+            '\n  "solutions": %s,\n  "status": %s\n}')
+_DECIDE_OUTCOME = _OUTCOME.replace("{", '{\n  "command": "decide",', 1).replace(
+    '\n  "solutions"', f'\n  "schema_version": {SCHEMA_VERSION},\n  "solutions"')
 
 
 @functools.lru_cache(maxsize=2)  # every outcome of one modulus has the same kl_pairs
@@ -84,17 +89,12 @@ def _evidence_json(ev) -> str:
     return _EVIDENCE % (_escape(ev.family), ev.k, ev.l, ev.r0, _escape(ev.reason), ev.s0)
 
 
-def _outcome_frame(outcome: DecisionOutcome, evidence: str, kl_pairs: str, envelope=None) -> str:
-    """``_dumps`` of an outcome's dict form and ``envelope``, evidence and kl_pairs as given."""
+def _outcome_frame(outcome: DecisionOutcome, evidence: str, kl_pairs: str, template=_OUTCOME) -> str:
+    """``template`` filled with an outcome, evidence and kl_pairs as given."""
     solutions = [_SOLUTION % (ps.k, ps.l, ps.r, ps.s, *(_wrap("[]", list(map(
         _escape, p.to_coeff_strings())), "\n      ") for p in pt)) for ps, pt in outcome.solutions]
-    members = ['"evidence": ' + evidence, '"kl_pairs": ' + kl_pairs,
-               *map('"{}": "{}"'.format, ("m", "n0", "n1"), outcome.rc),
-               '"solutions": ' + _wrap("[]", solutions, "\n  "),
-               '"status": ' + _escape(outcome.status)]
-    if envelope:  # members of these plain keys sort as their keys do
-        members = sorted(members + [f'"{key}": {json.dumps(v)}' for key, v in envelope.items()])
-    return _wrap("{}", members, "\n")
+    return template % (evidence, kl_pairs, *outcome.rc, _wrap("[]", solutions, "\n  "),
+                       _escape(outcome.status))
 
 
 def _outcome_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
@@ -104,9 +104,9 @@ def _outcome_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
     return text if indent == "\n" else text.replace("\n", indent)  # strings hold no raw newline
 
 
-def _outcome_pieces(outcome: DecisionOutcome, envelope: dict):
-    """``_outcome_frame`` with ``envelope`` in pieces, one an evidence or (k, l) item."""
-    return _splice(_outcome_frame(outcome, _HOLE, _HOLE, envelope),
+def _outcome_pieces(outcome: DecisionOutcome, _envelope: dict):
+    """``_DECIDE_OUTCOME`` (envelope included) filled in pieces, one an evidence or (k, l) item."""
+    return _splice(_outcome_frame(outcome, _HOLE, _HOLE, _DECIDE_OUTCOME),
                    map(_evidence_json, outcome.evidence), map(_KL_PAIR.__mod__, outcome.kl_pairs))
 
 

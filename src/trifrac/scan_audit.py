@@ -26,7 +26,7 @@ from .theorem import (DecisionOutcome, ResidueClass, _check_class, _evidence, _l
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 takes 0.65-0.85 s at 44 MB; at bound 10000,
+# full JSON scan of m = 4, n1 = 49999 takes 0.65-0.9 s at 44 MB; at bound 10000,
 # audit corollary 3 (m = 5) takes 0.6-0.9 s at 22 MB.  The output is written a
 # row at a time, but every row is built and held first, so both limits stay.
 MAX_SCAN_MODULUS = 50_000
@@ -74,7 +74,7 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
     pairs = list(_lemma_pairs(m, n1))
-    admitted, marks = _sieve_reasons(n1, pairs) if full else (None, ())
+    admitted, kl_marks = _sieve_reasons(n1, pairs) if full else (None, ())
     kl_pairs = tuple(pair[:2] for pair in pairs)
     rows = []
     for n0 in residues:
@@ -83,7 +83,7 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
             outcome = decide(rc, pairs=pairs)
         else:  # unsolvable, with the reason each (k, l)'s marks give
             outcome = DecisionOutcome(rc, "unsolvable", (), kl_pairs, tuple(
-                _evidence(rc, *kl, mark[n0]) for kl, mark in zip(kl_pairs, marks)))
+                [_evidence(rc, k, l, mark[n0]) for k, l, mark in kl_marks]))
         rows.append(ScanRow(n0, outcome))
     return ScanReport(m=m, n1=n1, rows=tuple(rows))
 

@@ -203,11 +203,11 @@ def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
     gcd(n0, n1) = 1 guarantees a solution; s0 is normalized into [1, n0]
     (so s0 = 1 when n0 = 1) and r0 = (s0*n1 - k*l)/n0 may be <= 0.
     """
-    n0, n1 = rc.n0, rc.n1
+    _, n0, n1 = rc
     s0 = k * l * pow(n1, -1, n0) % n0 or n0
     r0 = (s0 * n1 - k * l) // n0
     assert s0 * n1 == k * l + r0 * n0
-    return ParamFamily(k=k, l=l, s0=s0, r0=r0, step=(n0, n1))
+    return ParamFamily(k, l, s0, r0, (n0, n1))
 
 
 def admissible_residues(m: int, n1: int) -> list[int]:
@@ -259,17 +259,17 @@ def _sieve_residues(n1: int, pairs: Iterable[tuple[int, int, int, set[int], set[
     return sorted(set().union(*_pair_residues(n1, pairs)))
 
 
-def _sieve_reasons(n1: int, pairs: list) -> tuple[set[int], list[bytearray]]:
-    """The residues ``_sieve_residues`` finds, and for each pair a
-    bytearray(n1) whose byte at n0 is 1 iff a divisor of n0 is admitted
+def _sieve_reasons(n1: int, pairs: list) -> tuple[set[int], list[tuple[int, int, bytearray]]]:
+    """The residues ``_sieve_residues`` finds, and for each pair (k, l, mark),
+    mark a bytearray(n1) whose byte at n0 is 1 iff a divisor of n0 is admitted
     there (the reason rule's sieve form): each admitted f marks its multiples."""
     admitted, marks, ones = set(), [], memoryview(b"\1" * n1)
-    for found in _pair_residues(n1, pairs):
+    for (k, l, *_), found in zip(pairs, _pair_residues(n1, pairs)):
         admitted.update(found)
         mark = bytearray(n1)
         for f in found:
             mark[f::f] = ones[:(n1 - 1) // f]
-        marks.append(mark)
+        marks.append((k, l, mark))
     return admitted, marks
 
 
@@ -359,23 +359,22 @@ def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcom
     (m*k - 1)*s - k = r*n0/l, so z0 = k*l*s/r.  The accepted sets are those
     of the lemma, in (k, l) order and then by h = r/l descending, no two
     sharing a triple; an admitted (k, l) that accepts nothing raises
-    AssertionError.  An unsolvable class reports REASON_CONDITION_II for a
-    (k, l) that admits a divisor of n0 (the reason rule), else
-    REASON_NO_BASE_TRIPLE.  A sweep of one modulus passes its ``pairs``
+    AssertionError.  Only an unsolvable class builds evidence, after the
+    pass: REASON_CONDITION_II for a (k, l) that admits a divisor of n0 (the
+    reason rule), else REASON_NO_BASE_TRIPLE.  A sweep of one modulus passes its ``pairs``
     (``list(_lemma_pairs(m, n1))``) in; otherwise each pair's lemma classes
     are built as the pass reaches them and dropped after it.
     """
     m, n0, n1 = rc
     solutions: list[tuple[ParamSet, PolyTriple]] = []
-    kl_pairs, evidence, n0_divisors = [], [], None
+    kl_pairs, failed, n0_divisors = [], [], None  # failed: (k, l, divisible) until a solution
 
     for k, l, p, shifts, targets in _lemma_pairs(m, n1) if pairs is None else pairs:
         kl_pairs.append((k, l))
         if targets.isdisjoint([n0 * a % p for a in shifts]):
             if not solutions:
                 n0_divisors = divisors(n0) if n0_divisors is None else n0_divisors
-                evidence.append(_evidence(rc, k, l, any(
-                    f * a % p in targets for f in n0_divisors for a in shifts)))
+                failed.append((k, l, any(f * a % p in targets for f in n0_divisors for a in shifts)))
             continue
         found = len(solutions)
         for bt in enumerate_base_solutions(m, n0, k * n0):
@@ -396,8 +395,9 @@ def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcom
         if len(solutions) == found:
             raise AssertionError(f"(k, l) = ({k}, {l}) admits n0 = {n0}, yet its walk accepts nothing")
 
+    evidence = () if solutions else tuple([_evidence(rc, *pair) for pair in failed])
     return DecisionOutcome(rc, "solvable" if solutions else "unsolvable", tuple(solutions),
-                           tuple(kl_pairs), () if solutions else tuple(evidence))
+                           tuple(kl_pairs), evidence)
 
 
 class DegreeReport(NamedTuple):

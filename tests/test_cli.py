@@ -21,9 +21,9 @@ from test_golden import CASES, GOLDEN_DIR, run_cli
 from trifrac import cli
 from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
 from trifrac.cli import _outcome_json, _outcome_pieces, build_parser, main
-from trifrac.intmath import FACTOR_LIMIT
+from trifrac.intmath import FACTOR_LIMIT, gcd
 from trifrac.qpoly import MAX_COEFFS, MAX_FILE_BYTES
-from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS
+from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS, scan_residues
 from trifrac.theorem import REASON_CONDITION_II, REASON_NO_BASE_TRIPLE, ResidueClass, decide
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
@@ -725,6 +725,26 @@ def test_outcome_writer_matches_json_dumps_of_the_dict_form():
             assert _outcome_json(outcome, indent) == expected.replace("\n", indent), outcome.rc
         assert "".join(_outcome_pieces(outcome, envelope)) == json.dumps(
             envelope | form, indent=2, sort_keys=True), outcome.rc
+
+
+def test_full_scan_document_matches_json_dumps_of_the_dict_form(capsys):
+    # every full scan of m 4..7, n1 < 60, whose rows come from the sieve
+    # and from decide, against the dict form built from its ScanReport
+    envelope = {"schema_version": 2, "command": "scan"}
+    reports = [scan_residues(m, n1) for m in range(4, 8) for n1 in range(2, 60)
+               if gcd(m, n1) == 1]
+    assert any(not r.rows[0].outcome.kl_pairs for r in reports)
+    assert max(len(r.rows[0].outcome.kl_pairs) for r in reports) > 1
+    assert sum(len(r.admissible) for r in reports) > 100
+    for report in reports:
+        form = {"m": str(report.m), "n1": str(report.n1),
+                "admissible": [str(n0) for n0 in report.admissible],
+                "summary": {key: str(v) for key, v in report.summary.items()},
+                "rows": [outcome_dict(outcome) for _, outcome in report.rows]}
+        code, out, _ = run(capsys, ["scan", "--m", str(report.m), "--n1", str(report.n1),
+                                    "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(envelope | form, indent=2, sort_keys=True) + "\n", report[:2]
 
 
 # Each format's renderers for decide, scan and audit: any one of them running

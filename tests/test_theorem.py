@@ -513,6 +513,23 @@ def test_decide_evidence_reasons_match_base_triple_oracle(full_grid):
     assert reasons[ResidueClass(4, 4, 9), 1, 3] == "no condition-ii positivity"
 
 
+def test_decide_builds_evidence_only_for_an_unsolvable_class(monkeypatch):
+    # a solvable class would discard the evidence of the pairs before its
+    # first solution, so it builds none; an unsolvable one builds one per pair
+    built = []
+    evidence = theorem._evidence
+    monkeypatch.setattr(theorem, "_evidence", lambda *args: built.append(args) or evidence(*args))
+    solvable = decide(ResidueClass(4, 2, 15))
+    assert solvable.is_solvable()
+    assert solvable.kl_pairs[0] not in {ps[:2] for ps, _ in solvable.solutions}
+    assert built == []
+    unsolvable = decide(ResidueClass(4, 4, 15))
+    assert len(unsolvable.kl_pairs) == 2
+    assert {ev.reason for ev in unsolvable.evidence} == {
+        theorem.REASON_CONDITION_II, theorem.REASON_NO_BASE_TRIPLE}
+    assert [args[1:3] for args in built] == list(unsolvable.kl_pairs)
+
+
 def test_decide_1_mod_19_unsolvable():
     out = decide(ResidueClass(5, 1, 19))
     assert out.status == "unsolvable"
