@@ -5,7 +5,9 @@ one renderer per format, and only the one ``--format`` asks for runs.  JSON is
 what ``json.dumps(indent=2, sort_keys=True)`` writes, under an envelope
 (``schema_version`` and ``command``); outcomes and audit instances are filled
 into templates of their shape, and scan and audit rows, evidence and (k, l)
-items and text lines are written one at a time.  Every mathematical integer is
+items and text lines are written one at a time.  A scan or audit row holds only
+what varies per residue (n0, status, solutions, evidence): m, the modulus and
+its (k, l) pairs are stated once, above the rows.  Every mathematical integer is
 a decimal string so arbitrary precision survives any consumer.  Exit codes: 0
 the run completed, 2 a precondition or parse error was rejected, 3 an audit or
 verification found a discrepancy.
@@ -28,7 +30,7 @@ from .scan_audit import (AuditReport, ScanReport, audit_condition_i, audit_corol
                          audit_corollary4, scan_residues)
 from .theorem import DecisionOutcome, PolyTriple, ResidueClass, analyze_degrees, decide, residual
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_BOUND = 200
 
 EXIT_OK = 0
@@ -64,50 +66,46 @@ _dumps = functools.partial(json.dumps, indent=2, sort_keys=True)
 # ``_dumps`` of the string "\0", the hole that ``_splice`` fills with a list of items.
 _HOLE = _dumps("\0")
 
-# Evidence, (k, l) and solution items of an outcome, an outcome (bare, or with decide's envelope
-# members in their sorted places) and an audit instance, as ``_dumps`` lays them out in an
-# object at depth 0; decimal strings go in without escaping.
+# Evidence, (k, l) and solution items of an outcome, a scan row or audit witness (what varies
+# per residue), decide's outcome with its envelope members in their sorted places, and an audit
+# instance, as ``_dumps`` lays them out in an object at depth 0; decimal strings go in without
+# escaping.
 _KL_PAIR = '{\n      "k": "%s",\n      "l": "%s"\n    }'
 _EVIDENCE = ('{\n      "family": %s,\n      "k": "%s",\n      "l": "%s",\n      "r0": "%s",'
              '\n      "reason": %s,\n      "s0": "%s"\n    }')
 _SOLUTION = ('{\n      "params": {\n        "k": "%s",\n        "l": "%s",\n        "r": "%s",'
              '\n        "s": "%s"\n      },\n      "x": %s,\n      "y": %s,\n      "z": %s\n    }')
+_ROW = '{\n  "evidence": %s,\n  "n0": "%s",\n  "solutions": %s,\n  "status": %s\n}'
+_DECIDE_OUTCOME = ('{\n  "command": "decide",\n  "evidence": %s,\n  "kl_pairs": %s,\n  "m": "%s",'
+                   f'\n  "n0": "%s",\n  "n1": "%s",\n  "schema_version": {SCHEMA_VERSION},'
+                   '\n  "solutions": %s,\n  "status": %s\n}')
 _INSTANCE = ('{\n  "detail": %s,\n  "kl_pairs": %s,\n  "p": "%s",\n  "verdict": %s,'
              '\n  "witnesses": %s\n}')
-_OUTCOME = ('{\n  "evidence": %s,\n  "kl_pairs": %s,\n  "m": "%s",\n  "n0": "%s",\n  "n1": "%s",'
-            '\n  "solutions": %s,\n  "status": %s\n}')
-_DECIDE_OUTCOME = _OUTCOME.replace("{", '{\n  "command": "decide",', 1).replace(
-    '\n  "solutions"', f'\n  "schema_version": {SCHEMA_VERSION},\n  "solutions"')
-
-
-@functools.lru_cache(maxsize=2)  # every outcome of one modulus has the same kl_pairs
-def _kl_json(kl_pairs) -> str:
-    return _wrap("[]", list(map(_KL_PAIR.__mod__, kl_pairs)), "\n  ")
 
 
 def _evidence_json(ev) -> str:
     return _EVIDENCE % (_escape(ev.family), ev.k, ev.l, ev.r0, _escape(ev.reason), ev.s0)
 
 
-def _outcome_frame(outcome: DecisionOutcome, evidence: str, kl_pairs: str, template=_OUTCOME) -> str:
-    """``template`` filled with an outcome, evidence and kl_pairs as given."""
+def _solutions_json(outcome: DecisionOutcome) -> str:
     solutions = [_SOLUTION % (ps.k, ps.l, ps.r, ps.s, *(_wrap("[]", list(map(
         _escape, p.to_coeff_strings())), "\n      ") for p in pt)) for ps, pt in outcome.solutions]
-    return template % (evidence, kl_pairs, *outcome.rc, _wrap("[]", solutions, "\n  "),
-                       _escape(outcome.status))
+    return _wrap("[]", solutions, "\n  ")
 
 
-def _outcome_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
-    """``_dumps`` of an outcome's dict form at ``indent``."""
-    text = _outcome_frame(outcome, _wrap("[]", list(map(_evidence_json, outcome.evidence)), "\n  "),
-                          _kl_json(outcome.kl_pairs))
+def _row_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
+    """``_dumps`` of an outcome's row form (a scan row or an audit witness) at ``indent``."""
+    text = _ROW % (_wrap("[]", list(map(_evidence_json, outcome.evidence)), "\n  "),
+                   outcome.rc.n0, _solutions_json(outcome), _escape(outcome.status))
     return text if indent == "\n" else text.replace("\n", indent)  # strings hold no raw newline
 
 
 def _outcome_pieces(outcome: DecisionOutcome, _envelope: dict):
     """``_DECIDE_OUTCOME`` (envelope included) filled in pieces, one an evidence or (k, l) item."""
-    return _splice(_outcome_frame(outcome, _HOLE, _HOLE, _DECIDE_OUTCOME),
-                   map(_evidence_json, outcome.evidence), map(_KL_PAIR.__mod__, outcome.kl_pairs))
+    text = _DECIDE_OUTCOME % (_HOLE, _HOLE, *outcome.rc, _solutions_json(outcome),
+                              _escape(outcome.status))
+    return _splice(text, map(_evidence_json, outcome.evidence),
+                   map(_KL_PAIR.__mod__, outcome.kl_pairs))
 
 
 def _splice(text: str, *lists):
@@ -157,9 +155,10 @@ def _decide_csv(outcome: DecisionOutcome) -> list[list[str]]:
 
 def _scan_json(report: ScanReport, envelope: dict):
     payload = envelope | {"m": str(report.m), "n1": str(report.n1),
+                          "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in report.kl_pairs],
                           "admissible": list(map(str, report.admissible)),
                           "summary": {k: str(v) for k, v in report.summary.items()}}
-    return _stream(payload, "rows", (_outcome_json(outcome) for _, outcome in report.rows))
+    return _stream(payload, "rows", (_row_json(outcome) for _, outcome in report.rows))
 
 
 def _scan_text(report: ScanReport) -> list[str]:
@@ -179,8 +178,9 @@ def _audit_json(report: AuditReport, envelope: dict):
     payload = envelope | {"audit": report.audit, "m": str(report.m), "bound": str(report.bound),
                           "has_discrepancy": report.has_discrepancy}
     return _stream(payload, "instances", (_INSTANCE % (
-        _escape(inst.detail), _kl_json(inst.kl_pairs), inst.prime, _escape(inst.verdict),
-        _wrap("[]", [_outcome_json(w, "\n    ") for w in inst.witnesses], "\n  "))
+        _escape(inst.detail), _wrap("[]", list(map(_KL_PAIR.__mod__, inst.kl_pairs)), "\n  "),
+        inst.prime, _escape(inst.verdict),
+        _wrap("[]", [_row_json(w, "\n    ") for w in inst.witnesses], "\n  "))
         for inst in report.instances))
 
 

@@ -135,7 +135,7 @@ class RationalPoly(_RationalPoly):
                                  f"at most {MAX_DEN_DIGITS} are accepted")
         return cls([p * (den // q) for p, q in pairs], den)
 
-    def format_text(self, var: str = "λ") -> str:
+    def format_text(self) -> str:
         """Human-readable form like "7 + 16λ + 9λ^2"; "0" for the zero polynomial."""
         parts = []
         for i, c in enumerate(self.nums):
@@ -144,7 +144,7 @@ class RationalPoly(_RationalPoly):
             coeff = _coeff_str(abs(c), self.den)
             if c % self.den:
                 coeff = f"({coeff})"
-            term = coeff + ("" if i == 0 else var if i == 1 else f"{var}^{i}")
+            term = coeff + ("" if i == 0 else "λ" if i == 1 else f"λ^{i}")
             sign = "+" if c > 0 else "-"
             parts.append(f"{sign} {term}" if parts else term if c > 0 else f"-{term}")
         return " ".join(parts) if parts else "0"

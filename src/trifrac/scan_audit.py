@@ -26,9 +26,9 @@ from .theorem import (DecisionOutcome, ResidueClass, _check_class, _evidence, _l
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 takes 0.65-0.9 s at 44 MB; at bound 10000,
-# audit corollary 3 (m = 5) takes 0.6-0.9 s at 22 MB.  The output is written a
-# row at a time, but every row is built and held first, so both limits stay.
+# full JSON scan of m = 4, n1 = 49999 writes 16.9 MB in 0.7-0.9 s at 44 MB; at
+# bound 10000, audit corollary 3 (m = 5) takes 0.6-0.9 s at 22 MB.  The output is
+# written a row at a time, but every row is built and held first, so both limits stay.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
@@ -41,6 +41,7 @@ class ScanRow(NamedTuple):
 class ScanReport(NamedTuple):
     m: int
     n1: int
+    kl_pairs: tuple[tuple[int, int], ...]  # the (k, l) of condition i, the same for every row
     rows: tuple[ScanRow, ...]
 
     @property
@@ -85,14 +86,14 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
             outcome = DecisionOutcome(rc, "unsolvable", (), kl_pairs, tuple(
                 [_evidence(rc, k, l, mark[n0]) for k, l, mark in kl_marks]))
         rows.append(ScanRow(n0, outcome))
-    return ScanReport(m=m, n1=n1, rows=tuple(rows))
+    return ScanReport(m=m, n1=n1, kl_pairs=kl_pairs, rows=tuple(rows))
 
 
 class AuditInstance(NamedTuple):
     prime: int
     verdict: str  # "consistent" | "discrepancy"
     detail: str
-    kl_pairs: tuple[tuple[int, int], ...] = ()
+    kl_pairs: tuple[tuple[int, int], ...]
     witnesses: tuple[DecisionOutcome, ...] = ()
 
 
@@ -214,16 +215,10 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
         pairs = list(_lemma_pairs(m, p))
         direct = decide(ResidueClass(m, 1, p), pairs=pairs)
         shifted = decide(ResidueClass(m, p + 1, p), pairs=pairs)
-        solvable = [o for o in (direct, shifted) if o.is_solvable()]
-        if solvable:
-            instances.append(AuditInstance(
-                prime=p, verdict="discrepancy",
-                detail=f"p = {p}: n = 1 (mod {p}) unexpectedly solvable",
-                witnesses=tuple(solvable),
-            ))
-        else:
-            instances.append(AuditInstance(
-                prime=p, verdict="consistent",
-                detail=f"p = {p}: n = 1 (mod {p}) unsolvable",
-            ))
+        solvable = tuple(o for o in (direct, shifted) if o.is_solvable())
+        instances.append(AuditInstance(
+            prime=p, verdict="discrepancy" if solvable else "consistent",
+            detail=f"p = {p}: n = 1 (mod {p}) {'unexpectedly solvable' if solvable else 'unsolvable'}",
+            kl_pairs=tuple(pair[:2] for pair in pairs), witnesses=solvable,
+        ))
     return AuditReport(audit="corollary-4", m=m, bound=bound, instances=tuple(instances))

@@ -7,7 +7,8 @@ exception is ``walk_decide``, which decides by the base-triple walk alone
 and so reuses ``enumerate_base_solutions`` (checked on its own against
 ``base_triples_oracle`` and ``member_walk_oracle``).  ``degree_oracle`` is
 the one route that does not start from conditions i)-iii).  ``outcome_dict``
-is the CLI's JSON form of an outcome as plain dicts, for ``json.dumps``.
+and ``row_dict`` are the CLI's JSON forms of an outcome (a ``decide`` document,
+and a scan row or audit witness) as plain dicts, for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -366,19 +367,27 @@ def degree_oracle(rc: ResidueClass) -> set[tuple[tuple[int, ...], ...]]:
     return found
 
 
+def _fields(record) -> dict:
+    return {name: str(v) for name, v in zip(record._fields, record)}
+
+
+def row_dict(outcome: DecisionOutcome) -> dict:
+    """A decision outcome as a scan row or audit witness of the CLI's JSON,
+    every integer a decimal string: only what varies per residue."""
+    return {
+        "n0": str(outcome.rc.n0),
+        "status": outcome.status,
+        "solutions": [{"params": _fields(ps), **{name: getattr(pt, name).to_coeff_strings()
+                                                 for name in "xyz"}}
+                      for ps, pt in outcome.solutions],
+        "evidence": [_fields(ev) for ev in outcome.evidence],
+    }
+
+
 def outcome_dict(outcome: DecisionOutcome) -> dict:
     """A decision outcome as the CLI's JSON object, every integer a decimal
     string: ``json.dumps(outcome_dict(o), indent=2, sort_keys=True)`` is what
-    ``decide --format json`` prints for it, less the envelope."""
-    def fields(record) -> dict:
-        return {name: str(v) for name, v in zip(record._fields, record)}
-
-    return {
-        **fields(outcome.rc),
-        "status": outcome.status,
-        "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in outcome.kl_pairs],
-        "solutions": [{"params": fields(ps), **{name: getattr(pt, name).to_coeff_strings()
-                                                for name in "xyz"}}
-                      for ps, pt in outcome.solutions],
-        "evidence": [fields(ev) for ev in outcome.evidence],
-    }
+    ``decide --format json`` prints for it, less the envelope.  It is
+    ``row_dict`` with the class's m and n1 and its (k, l) pairs."""
+    return {**row_dict(outcome), **_fields(outcome.rc),
+            "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in outcome.kl_pairs]}

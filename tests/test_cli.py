@@ -16,15 +16,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_grid
-from oracles import outcome_dict
+from oracles import outcome_dict, row_dict
 from test_golden import CASES, GOLDEN_DIR, run_cli
 from trifrac import cli
 from trifrac.base_solutions import MAX_BASE_WALKS, MAX_WALK_DIVISORS, enumerate_base_solutions
-from trifrac.cli import _outcome_json, _outcome_pieces, build_parser, main
+from trifrac.cli import _outcome_pieces, _row_json, build_parser, main
 from trifrac.intmath import FACTOR_LIMIT, gcd
 from trifrac.qpoly import MAX_COEFFS, MAX_FILE_BYTES
 from trifrac.scan_audit import MAX_AUDIT_BOUND, MAX_SCAN_MODULUS, scan_residues
-from trifrac.theorem import REASON_CONDITION_II, REASON_NO_BASE_TRIPLE, ResidueClass, decide
+from trifrac.theorem import (REASON_CONDITION_II, REASON_NO_BASE_TRIPLE, ResidueClass, decide,
+                             enumerate_kl)
 
 GOLDEN = ["decide", "--m", "5", "--n0", "7", "--n1", "9"]
 
@@ -39,7 +40,7 @@ def test_decide_json_golden(capsys):
     code, out, _ = run(capsys, GOLDEN + ["--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["status"] == "solvable"
     (sol,) = payload["solutions"]
     assert sol["x"] == ["14", "18"]
@@ -717,40 +718,66 @@ def test_outcome_writer_matches_json_dumps_of_the_dict_form():
         REASON_CONDITION_II, REASON_NO_BASE_TRIPLE}
     assert max(len(o.solutions) for o in outcomes) > 1
     assert len(outcomes[-1].evidence) == 960
-    envelope = {"schema_version": 2, "command": "decide"}
+    envelope = {"schema_version": 3, "command": "decide"}
     for outcome in outcomes:
-        form = outcome_dict(outcome)
-        expected = json.dumps(form, indent=2, sort_keys=True)
+        expected = json.dumps(row_dict(outcome), indent=2, sort_keys=True)
         for indent in ("\n", "\n    ", "\n        "):
-            assert _outcome_json(outcome, indent) == expected.replace("\n", indent), outcome.rc
+            assert _row_json(outcome, indent) == expected.replace("\n", indent), outcome.rc
         assert "".join(_outcome_pieces(outcome, envelope)) == json.dumps(
-            envelope | form, indent=2, sort_keys=True), outcome.rc
+            envelope | outcome_dict(outcome), indent=2, sort_keys=True), outcome.rc
+
+
+# every full scan of m 4..7, n1 < 60, whose rows come from the sieve and from decide
+_SCAN_MODULI = [(m, n1) for m in range(4, 8) for n1 in range(2, 60) if gcd(m, n1) == 1]
 
 
 def test_full_scan_document_matches_json_dumps_of_the_dict_form(capsys):
-    # every full scan of m 4..7, n1 < 60, whose rows come from the sieve
-    # and from decide, against the dict form built from its ScanReport
-    envelope = {"schema_version": 2, "command": "scan"}
-    reports = [scan_residues(m, n1) for m in range(4, 8) for n1 in range(2, 60)
-               if gcd(m, n1) == 1]
-    assert any(not r.rows[0].outcome.kl_pairs for r in reports)
-    assert max(len(r.rows[0].outcome.kl_pairs) for r in reports) > 1
+    # against the dict form built from each ScanReport
+    envelope = {"schema_version": 3, "command": "scan"}
+    reports = [scan_residues(m, n1) for m, n1 in _SCAN_MODULI]
     assert sum(len(r.admissible) for r in reports) > 100
     for report in reports:
         form = {"m": str(report.m), "n1": str(report.n1),
+                "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in report.kl_pairs],
                 "admissible": [str(n0) for n0 in report.admissible],
                 "summary": {key: str(v) for key, v in report.summary.items()},
-                "rows": [outcome_dict(outcome) for _, outcome in report.rows]}
+                "rows": [row_dict(outcome) for _, outcome in report.rows]}
         code, out, _ = run(capsys, ["scan", "--m", str(report.m), "--n1", str(report.n1),
                                     "--format", "json"])
         assert code == 0
         assert out == json.dumps(envelope | form, indent=2, sort_keys=True) + "\n", report[:2]
 
 
+def test_scan_rows_and_audit_witnesses_hold_only_what_varies_per_residue(capsys):
+    # a scan states its (k, l) pairs once, an audit instance its prime's
+    row_keys = {"evidence", "n0", "solutions", "status"}
+    scans = {}
+    for m, n1 in _SCAN_MODULI:
+        code, out, _ = run(capsys, ["scan", "--m", str(m), "--n1", str(n1), "--format", "json"])
+        assert code == 0
+        scans[m, n1] = json.loads(out)
+    assert scans[4, 13]["kl_pairs"] == [] and max(len(s["kl_pairs"]) for s in scans.values()) > 1
+    for (m, n1), scan in scans.items():
+        assert scan["kl_pairs"] == [{"k": str(k), "l": str(l)} for k, l in enumerate_kl(m, n1)]
+        assert len(scan["rows"]) == sum(gcd(n0, n1) == 1 for n0 in range(1, n1))
+        assert all(row.keys() == row_keys for row in scan["rows"]), (m, n1)
+    witnesses = 0
+    for corollary in ("i", "3", "4"):
+        code, out, _ = run(capsys, ["audit", "--corollary", corollary, "--m", "5", "--bound", "60",
+                                    "--format", "json"])
+        assert code in (0, 3)
+        for inst in json.loads(out)["instances"]:
+            assert inst["kl_pairs"] == [{"k": str(k), "l": str(l)}
+                                        for k, l in enumerate_kl(5, int(inst["p"]))]
+            assert all(w.keys() == row_keys for w in inst["witnesses"])
+            witnesses += len(inst["witnesses"])
+    assert witnesses > 10
+
+
 # Each format's renderers for decide, scan and audit: any one of them running
 # for another format is wasted work.
 _RENDERERS = {
-    "json": ("_dumps", "_outcome_json", "_outcome_pieces"),
+    "json": ("_dumps", "_row_json", "_outcome_pieces"),
     "text": ("_outcome_text", "_scan_text", "_audit_text"),
     "csv": ("_decide_csv", "_scan_csv", "_audit_csv"),
 }

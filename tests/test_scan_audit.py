@@ -58,7 +58,9 @@ def _scan_reasons(moduli) -> Counter:
     coprime to n1; count the reasons of their evidence."""
     reasons = Counter()
     for m, n1 in moduli:
-        rows = scan_residues(m, n1).rows
+        report = scan_residues(m, n1)
+        assert list(report.kl_pairs) == enumerate_kl(m, n1)
+        rows = report.rows
         assert [row.n0 for row in rows] == [n0 for n0 in range(1, n1) if gcd(n0, n1) == 1]
         for n0, outcome in rows:
             assert outcome == decide(ResidueClass(m, n0, n1)), (m, n0, n1)
@@ -209,6 +211,16 @@ def test_audit_condition_i_m5_records_kl():
     assert witness.is_solvable()
     ps, pt = witness.solutions[0]
     assert verify_identity(witness.rc, pt)
+
+
+@pytest.mark.parametrize("audit", [audit_condition_i, audit_corollary3, audit_corollary4])
+def test_every_audit_instance_lists_its_kl_pairs(audit):
+    # the instance is the one place an audit document states a prime's (k, l)
+    instances = [(m, inst) for m in (4, 5, 7) for inst in audit(m, 300).instances]
+    assert any(inst.kl_pairs for _, inst in instances)
+    assert any(not inst.kl_pairs for _, inst in instances)
+    for m, inst in instances:
+        assert list(inst.kl_pairs) == enumerate_kl(m, inst.prime), (m, inst.prime)
 
 
 def test_audit_corollary3_m4_consistent():
