@@ -18,7 +18,6 @@ from .theorem import (
     DecisionOutcome,
     DegreeReport,
     KlEvidence,
-    ParamFamily,
     ParamSet,
     PolyTriple,
     ResidueClass,
@@ -29,7 +28,6 @@ from .theorem import (
     enumerate_kl,
     identity_holds,
     residual,
-    solve_condition_ii,
     verify_identity,
 )
 
@@ -43,7 +41,6 @@ __all__ = [
     "DegreeReport",
     "FamilySolution",
     "KlEvidence",
-    "ParamFamily",
     "ParamSet",
     "PolyTriple",
     "RationalPoly",
@@ -68,6 +65,5 @@ __all__ = [
     "primes_up_to",
     "residual",
     "scan_residues",
-    "solve_condition_ii",
     "verify_identity",
 ]

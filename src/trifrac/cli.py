@@ -28,7 +28,8 @@ from .families import FamilySolution, RoleTriple, minus_family, plus_family
 from .qpoly import _MAX_ARG_DIGITS, MAX_FILE_BYTES, RationalPoly
 from .scan_audit import (AuditReport, ScanReport, audit_condition_i, audit_corollary3,
                          audit_corollary4, scan_residues)
-from .theorem import DecisionOutcome, PolyTriple, ResidueClass, analyze_degrees, decide, residual
+from .theorem import (REASON_CONDITION_II, REASON_NO_BASE_TRIPLE, DecisionOutcome, PolyTriple,
+                      ResidueClass, analyze_degrees, decide, residual)
 
 SCHEMA_VERSION = 3
 DEFAULT_BOUND = 200
@@ -81,29 +82,43 @@ _DECIDE_OUTCOME = ('{\n  "command": "decide",\n  "evidence": %s,\n  "kl_pairs": 
                    '\n  "solutions": %s,\n  "status": %s\n}')
 _INSTANCE = ('{\n  "detail": %s,\n  "kl_pairs": %s,\n  "p": "%s",\n  "verdict": %s,'
              '\n  "witnesses": %s\n}')
+# Every status and evidence reason, escaped once.
+_ESCAPED = {text: _escape(text) for text in
+            ("solvable", "unsolvable", REASON_CONDITION_II, REASON_NO_BASE_TRIPLE)}
 
 
-def _evidence_json(ev) -> str:
-    return _EVIDENCE % (_escape(ev.family), ev.k, ev.l, ev.r0, _escape(ev.reason), ev.s0)
+def _evidence_json(ev, template: str = _EVIDENCE) -> str:
+    return template % (_escape(ev.family), ev.k, ev.l, ev.r0, _ESCAPED[ev.reason], ev.s0)
 
 
 def _solutions_json(outcome: DecisionOutcome) -> str:
+    if not outcome.solutions:
+        return "[]"
     solutions = [_SOLUTION % (ps.k, ps.l, ps.r, ps.s, *(_wrap("[]", list(map(
         _escape, p.to_coeff_strings())), "\n      ") for p in pt)) for ps, pt in outcome.solutions]
     return _wrap("[]", solutions, "\n  ")
 
 
+@functools.cache
+def _row_layout(indent: str) -> tuple[str, ...]:
+    """``_ROW``, ``_EVIDENCE`` and the head, separator and tail of a row's evidence list,
+    with ``indent`` for each newline."""
+    return tuple(t.replace("\n", indent) for t in (_ROW, _EVIDENCE, "[\n    ", ",\n    ", "\n  ]"))
+
+
 def _row_json(outcome: DecisionOutcome, indent: str = "\n") -> str:
-    """``_dumps`` of an outcome's row form (a scan row or an audit witness) at ``indent``."""
-    text = _ROW % (_wrap("[]", list(map(_evidence_json, outcome.evidence)), "\n  "),
-                   outcome.rc.n0, _solutions_json(outcome), _escape(outcome.status))
-    return text if indent == "\n" else text.replace("\n", indent)  # strings hold no raw newline
+    """``_dumps`` of an outcome's row form (a scan row or an audit witness), laid out
+    with ``indent`` for each newline (strings hold no raw newline)."""
+    row, evidence, head, sep, tail = _row_layout(indent)
+    items = sep.join([_evidence_json(ev, evidence) for ev in outcome.evidence])
+    return row % (head + items + tail if items else "[]", outcome.rc.n0,
+                  _solutions_json(outcome).replace("\n", indent), _ESCAPED[outcome.status])
 
 
 def _outcome_pieces(outcome: DecisionOutcome, _envelope: dict):
     """``_DECIDE_OUTCOME`` (envelope included) filled in pieces, one an evidence or (k, l) item."""
     text = _DECIDE_OUTCOME % (_HOLE, _HOLE, *outcome.rc, _solutions_json(outcome),
-                              _escape(outcome.status))
+                              _ESCAPED[outcome.status])
     return _splice(text, map(_evidence_json, outcome.evidence),
                    map(_KL_PAIR.__mod__, outcome.kl_pairs))
 
@@ -122,8 +137,8 @@ def _splice(text: str, *lists):
 
 
 def _stream(payload: dict, key: str, items):
-    """``_dumps(payload)`` in pieces, ``payload[key]`` the list of ``items`` at depth 0."""
-    return _splice(_dumps(payload | {key: "\0"}), (item.replace("\n", "\n    ") for item in items))
+    """``_dumps(payload)`` in pieces, ``payload[key]`` the list of laid-out ``items``."""
+    return _splice(_dumps(payload | {key: "\0"}), items)
 
 
 def _outcome_text(outcome: DecisionOutcome):
@@ -158,7 +173,7 @@ def _scan_json(report: ScanReport, envelope: dict):
                           "kl_pairs": [{"k": str(k), "l": str(l)} for k, l in report.kl_pairs],
                           "admissible": list(map(str, report.admissible)),
                           "summary": {k: str(v) for k, v in report.summary.items()}}
-    return _stream(payload, "rows", (_row_json(outcome) for _, outcome in report.rows))
+    return _stream(payload, "rows", (_row_json(outcome, "\n    ") for _, outcome in report.rows))
 
 
 def _scan_text(report: ScanReport) -> list[str]:
@@ -177,11 +192,11 @@ def _scan_csv(report: ScanReport) -> list[list[str]]:
 def _audit_json(report: AuditReport, envelope: dict):
     payload = envelope | {"audit": report.audit, "m": str(report.m), "bound": str(report.bound),
                           "has_discrepancy": report.has_discrepancy}
-    return _stream(payload, "instances", (_INSTANCE % (
+    return _stream(payload, "instances", ((_INSTANCE % (
         _escape(inst.detail), _wrap("[]", list(map(_KL_PAIR.__mod__, inst.kl_pairs)), "\n  "),
         inst.prime, _escape(inst.verdict),
         _wrap("[]", [_row_json(w, "\n    ") for w in inst.witnesses], "\n  "))
-        for inst in report.instances))
+    ).replace("\n", "\n    ") for inst in report.instances))
 
 
 def _audit_text(report: AuditReport) -> list[str]:
@@ -417,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError:
+        pass  # reported once the handler ends: its traceback holds what was built
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -25,10 +25,12 @@ from .theorem import (DecisionOutcome, ResidueClass, _check_class, _evidence, _l
                       _sieve_reasons, _sieve_residues, decide)
 
 # Size limits, checked before anything is allocated (a residue subset of any
-# modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a
-# full JSON scan of m = 4, n1 = 49999 writes 16.9 MB in 0.7-0.9 s at 44 MB; at
-# bound 10000, audit corollary 3 (m = 5) takes 0.6-0.9 s at 22 MB.  The output is
-# written a row at a time, but every row is built and held first, so both limits stay.
+# modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a full
+# JSON scan writes 16.9 MB in 0.5 s at 44 MB for the prime m = 4, n1 = 49999, and
+# 31.2 MB in 4.2-4.4 s at 112 MB for the composite n1 = 45045, the costliest inside
+# the limit (16,622 residues reach decide); at bound 10000, audit corollary 3 (m = 5)
+# takes 0.6-0.9 s at 22 MB.  Output is written a row at a time, but every row is
+# built and held first, so both limits stay.
 MAX_SCAN_MODULUS = 50_000
 MAX_AUDIT_BOUND = 10_000
 
@@ -59,13 +61,16 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
     """The outcome of every residue n0 coprime to n1 (or of a given subset, of
     any modulus), ascending, with ``_lemma_pairs`` found once.  A subset runs
     ``decide`` on each residue, a full scan only on those the sieve admits; it
-    builds the others as ``decide`` would, with the reasons ``_sieve_reasons`` marks."""
-    _check_class(m, 1, n1)
+    builds the others as ``decide`` would, with the reasons ``_sieve_reasons`` marks.
+    The modulus (by ``enumerate_kl``) and the residues are checked before the loop,
+    which builds its records as ``ResidueClass.__new__`` does after its check."""
     full = residues is None
+    if full and n1 > MAX_SCAN_MODULUS:
+        _check_class(m, 1, n1)  # a class outside the domain is reported first
+        raise ValueError(f"a full scan needs n1 <= {MAX_SCAN_MODULUS}, got {n1}; "
+                         "scan a subset of residues instead")
+    pairs = list(_lemma_pairs(m, n1))
     if full:
-        if n1 > MAX_SCAN_MODULUS:
-            raise ValueError(f"a full scan needs n1 <= {MAX_SCAN_MODULUS}, got {n1}; "
-                             "scan a subset of residues instead")
         residues = [n0 for n0 in range(1, n1) if gcd(n0, n1) == 1]
     else:
         for n0 in residues:
@@ -74,18 +79,17 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
             if gcd(n0, n1) != 1:
                 raise ValueError(f"residue {n0} not coprime to n1 = {n1}")
         residues = sorted(set(residues))
-    pairs = list(_lemma_pairs(m, n1))
     admitted, kl_marks = _sieve_reasons(n1, pairs) if full else (None, ())
     kl_pairs = tuple(pair[:2] for pair in pairs)
-    rows = []
+    new, rows = tuple.__new__, []
     for n0 in residues:
-        rc = ResidueClass(m, n0, n1)
+        rc = new(ResidueClass, (m, n0, n1))
         if not full or n0 in admitted:
             outcome = decide(rc, pairs=pairs)
         else:  # unsolvable, with the reason each (k, l)'s marks give
-            outcome = DecisionOutcome(rc, "unsolvable", (), kl_pairs, tuple(
-                [_evidence(rc, k, l, mark[n0]) for k, l, mark in kl_marks]))
-        rows.append(ScanRow(n0, outcome))
+            outcome = new(DecisionOutcome, (rc, "unsolvable", (), kl_pairs, tuple(
+                [_evidence(rc, k, l, mark[n0]) for k, l, mark in kl_marks])))
+        rows.append(new(ScanRow, (n0, outcome)))
     return ScanReport(m=m, n1=n1, kl_pairs=kl_pairs, rows=tuple(rows))
 
 

@@ -128,24 +128,6 @@ class ParamSet(_ParamSet):
             )
 
 
-class ParamFamily(NamedTuple):
-    """The affine line of condition-ii solutions for a fixed (k, l).
-
-    s = s0 + n0*t and r = r0 + n1*t for t in Z; s0 is the minimal positive
-    solution (1 <= s0 <= n0) and r0 may be nonpositive.
-    """
-
-    k: int
-    l: int
-    s0: int
-    r0: int
-    step: tuple[int, int]
-
-    def describe(self) -> str:
-        n0, n1 = self.step
-        return f"s = {self.s0} + {n0}t, r = {self.r0} + {n1}t"
-
-
 class PolyTriple(NamedTuple):
     x: RationalPoly
     y: RationalPoly
@@ -195,19 +177,6 @@ def enumerate_kl(m: int, n1: int) -> list[tuple[int, int]]:
         if (d + 1) % m == 0:
             out.append(((d + 1) // m, l))
     return out
-
-
-def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
-    """Minimal solution of s*n1 = k*l + r*n0 and the line through it.
-
-    gcd(n0, n1) = 1 guarantees a solution; s0 is normalized into [1, n0]
-    (so s0 = 1 when n0 = 1) and r0 = (s0*n1 - k*l)/n0 may be <= 0.
-    """
-    _, n0, n1 = rc
-    s0 = k * l * pow(n1, -1, n0) % n0 or n0
-    r0 = (s0 * n1 - k * l) // n0
-    assert s0 * n1 == k * l + r0 * n0
-    return ParamFamily(k, l, s0, r0, (n0, n1))
 
 
 def admissible_residues(m: int, n1: int) -> list[int]:
@@ -341,9 +310,18 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
 
 def _evidence(rc: ResidueClass, k: int, l: int, divisible: bool) -> KlEvidence:
     """Why (k, l) gives the class no solution: its condition-ii family and,
-    by the reason rule, REASON_CONDITION_II iff a divisor of n0 is admitted."""
-    fam = solve_condition_ii(rc, k, l)
-    return KlEvidence(k, l, fam.s0, fam.r0, fam.describe(),
+    by the reason rule, REASON_CONDITION_II iff a divisor of n0 is admitted.
+
+    Condition ii) s*n1 = k*l + r*n0 says s*n1 = k*l (mod n0), and n1 is a unit
+    mod n0 as gcd(n0, n1) = 1: its solutions are the line s = s0 + n0*t,
+    r = r0 + n1*t through s0 = k*l*n1^-1 mod n0, taken in [1, n0] (1 when
+    n0 = 1), and the integer r0 = (s0*n1 - k*l)/n0, which may be <= 0.
+    """
+    _, n0, n1 = rc
+    s0 = k * l * pow(n1, -1, n0) % n0 or n0
+    r0 = (s0 * n1 - k * l) // n0
+    assert s0 * n1 == k * l + r0 * n0
+    return KlEvidence(k, l, s0, r0, f"s = {s0} + {n0}t, r = {r0} + {n1}t",
                       REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE)
 
 

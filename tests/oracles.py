@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from trifrac.base_solutions import BaseTriple, enumerate_base_solutions
 from trifrac.qpoly import RationalPoly
@@ -24,13 +25,11 @@ from trifrac.theorem import (
     REASON_NO_BASE_TRIPLE,
     DecisionOutcome,
     KlEvidence,
-    ParamFamily,
     ParamSet,
     PolyTriple,
     ResidueClass,
     construct_solution,
     enumerate_kl,
-    solve_condition_ii,
     verify_identity,
 )
 
@@ -216,6 +215,43 @@ def is_quadratic_residue(a: int, n: int) -> bool:
         raise ValueError(f"is_quadratic_residue requires n >= 2, got {n}")
     target = a % n
     return any(w * w % n == target for w in range(n))
+
+
+class ParamFamily(NamedTuple):
+    """The affine line of condition-ii solutions for a fixed (k, l).
+
+    s = s0 + n0*t and r = r0 + n1*t for t in Z; s0 is the minimal positive
+    solution (1 <= s0 <= n0) and r0 may be nonpositive.
+    """
+
+    k: int
+    l: int
+    s0: int
+    r0: int
+    step: tuple[int, int]
+
+    def describe(self) -> str:
+        n0, n1 = self.step
+        return f"s = {self.s0} + {n0}t, r = {self.r0} + {n1}t"
+
+
+def solve_condition_ii(rc: ResidueClass, k: int, l: int) -> ParamFamily:
+    """Minimal solution of s*n1 = k*l + r*n0 and the line through it, by the
+    extended Euclidean algorithm rather than ``pow``: it finds u with
+    u*n1 + v*n0 = 1, so s = k*l*u (mod n0).  s0 is normalized into [1, n0]
+    and r0 = (s0*n1 - k*l)/n0, which must divide out exactly."""
+    _, n0, n1 = rc
+    a, b, u, u_next = n1, n0, 1, 0  # invariant: a = u*n1 (mod n0), b = u_next*n1 (mod n0)
+    while b:
+        q = a // b
+        a, b, u, u_next = b, a - q * b, u_next, u - q * u_next
+    if a != 1:
+        raise ValueError(f"gcd(n0, n1) = {a}, so condition ii has no unique line")
+    s0 = (k * l * u) % n0 or n0
+    r0, off = divmod(s0 * n1 - k * l, n0)
+    if off:
+        raise AssertionError(f"s0 = {s0} misses condition ii for {rc} at ({k}, {l})")
+    return ParamFamily(k, l, s0, r0, (n0, n1))
 
 
 def family_at(fam: ParamFamily, t: int) -> tuple[int, int]:

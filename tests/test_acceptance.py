@@ -14,6 +14,7 @@ from oracles import (
     linear,
     role_assignments,
     search_condition_iii,
+    solve_condition_ii,
 )
 from trifrac.base_solutions import enumerate_base_solutions
 from trifrac.cli import main as cli_main
@@ -27,7 +28,6 @@ from trifrac.theorem import (
     analyze_degrees,
     decide,
     enumerate_kl,
-    solve_condition_ii,
     verify_identity,
 )
 

@@ -5,12 +5,12 @@ import trifrac
 
 PUBLIC = [
     "AuditInstance", "AuditReport", "BaseTriple", "DecisionOutcome", "DegreeReport",
-    "FamilySolution", "KlEvidence", "ParamFamily", "ParamSet", "PolyTriple", "RationalPoly",
+    "FamilySolution", "KlEvidence", "ParamSet", "PolyTriple", "RationalPoly",
     "ResidueClass", "RoleTriple", "ScanReport", "ScanRow", "admissible_residues",
     "analyze_degrees", "audit_condition_i", "audit_corollary3", "audit_corollary4",
     "construct_solution", "decide", "divisors", "enumerate_base_solutions", "enumerate_kl", "gcd",
     "identity_holds", "minus_family", "plus_family", "primes_up_to", "residual", "scan_residues",
-    "solve_condition_ii", "verify_identity",
+    "verify_identity",
 ]
 
 

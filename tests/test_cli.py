@@ -187,6 +187,16 @@ def test_full_scan_beyond_limit_exits_2(capsys, n1):
     assert len(err.splitlines()) == 1
 
 
+def test_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "scan_residues", exhausted)
+    code, out, err = run(capsys, ["scan", "--m", "4", "--n1", "443", "--format", "json"])
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_scan_residue_subset_of_huge_modulus(capsys):
     code, out, _ = run(capsys, ["scan", "--m", "5", "--n1", "1000000000007",
                                 "--residues", "2,1", "--format", "json"])

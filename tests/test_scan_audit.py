@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
-from oracles import trial_divisors
+from oracles import solve_condition_ii, trial_divisors
 from trifrac import scan_audit, theorem
 from trifrac.intmath import gcd
 from trifrac.scan_audit import (
+    MAX_SCAN_MODULUS,
     audit_condition_i,
     audit_corollary3,
     audit_corollary4,
@@ -106,6 +107,57 @@ def _lemma_classes(m: int, n1: int) -> list:
         p = n1 // l
         out.append((k, l, p, {1}, {-k * pow(h, -1, p) % p for h in trial_divisors(k * k)}))
     return out
+
+
+def test_sieve_rows_carry_the_condition_ii_oracle_evidence():
+    # every row a full scan builds from the sieve states, per (k, l), the
+    # family the extended-Euclid route finds and the reason rule's flag: some
+    # divisor f of n0 is admitted, f = -k*h^-1 (mod p) for an h | k^2
+    moduli = [(m, n1) for m in range(4, 8) for n1 in range(2, 200) if gcd(m, n1) == 1]
+    built, pairs = 0, 0
+    for m, n1 in moduli + [(4, 4389)]:
+        classes = _lemma_classes(m, n1)
+        pairs = max(pairs, len(classes))
+        admitted = set(admissible_residues(m, n1))
+        for n0, outcome in scan_residues(m, n1).rows:
+            if n0 in admitted:
+                continue
+            built += 1
+            rc = outcome.rc
+            assert type(rc) is ResidueClass and rc == (m, n0, n1)
+            assert (outcome.status, outcome.solutions) == ("unsolvable", ())
+            assert len(outcome.evidence) == len(classes)
+            for ev, (k, l, p, _, targets) in zip(outcome.evidence, classes):
+                fam = solve_condition_ii(rc, k, l)
+                divisible = any(f % p in targets for f in trial_divisors(n0))
+                assert ev.k == fam.k and ev.l == fam.l, rc
+                assert ev.s0 == fam.s0 and ev.r0 == fam.r0, (rc, k, l)
+                assert ev.family == fam.describe(), (rc, k, l)
+                assert ev.reason == (REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE)
+    assert pairs == 8 and built > 5000
+
+
+def test_a_scan_checks_its_class_once(monkeypatch):
+    # the modulus is checked once per scan and each residue before the loop,
+    # so no row's ResidueClass runs the check again
+    calls = []
+    check = theorem._check_class
+
+    def counting(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(theorem, "_check_class", counting)
+    monkeypatch.setattr(scan_audit, "_check_class", counting)
+    for residues in (None, [442, 1, 2, 3]):
+        calls.clear()
+        report = scan_residues(4, 443, residues)
+        assert len(report.rows) == (442 if residues is None else 4)
+        assert all(type(row.outcome.rc) is ResidueClass for row in report.rows)
+        assert calls == [(4, 1, 443)], residues
+    # beyond the limit, a class outside the domain is still what is reported
+    with pytest.raises(ValueError, match="m must be >= 4"):
+        scan_residues(3, MAX_SCAN_MODULUS + 1)
 
 
 def _record_decided(monkeypatch) -> list[ResidueClass]:

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import build_grid
 from oracles import (
+    ParamFamily,
     base_triples_oracle,
     degree_oracle,
     enumerate_condition_iii,
@@ -25,6 +26,7 @@ from oracles import (
     poly_eval,
     role_assignments,
     search_condition_iii,
+    solve_condition_ii,
     trial_divisors,
     walk_decide,
 )
@@ -37,7 +39,6 @@ from trifrac.intmath import gcd, primes_up_to
 from trifrac.qpoly import RationalPoly
 from trifrac.scan_audit import scan_residues
 from trifrac.theorem import (
-    ParamFamily,
     ParamSet,
     PolyTriple,
     ResidueClass,
@@ -48,7 +49,6 @@ from trifrac.theorem import (
     enumerate_kl,
     identity_holds,
     residual,
-    solve_condition_ii,
     verify_identity,
 )
 
@@ -163,6 +163,14 @@ def test_solve_condition_ii_examples():
 
     fam = solve_condition_ii(ResidueClass(5, 1, 29), 6, 1)
     assert (fam.s0, fam.r0) == (1, 23)
+
+    # the evidence record of the library comes to the same line by pow
+    for rc, k, l, family in ((ResidueClass(5, 7, 19), 4, 1, "s = 5 + 7t, r = 13 + 19t"),
+                             (GOLDEN_RC, 2, 1, "s = 1 + 7t, r = 1 + 9t"),
+                             (ResidueClass(5, 1, 29), 6, 1, "s = 1 + 1t, r = 23 + 29t")):
+        ev = theorem._evidence(rc, k, l, False)
+        assert (ev.k, ev.l, ev.family) == (k, l, family)
+        assert (ev.s0, ev.r0) == tuple(solve_condition_ii(rc, k, l)[2:4])
 
 
 def test_solve_condition_ii_family_invariants():
