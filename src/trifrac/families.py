@@ -41,13 +41,9 @@ class RoleTriple(NamedTuple):
         for name, v in zip(("x0", "y0", "z0"), self):
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        # cross-multiplied form of 1/x0 + 1/y0 + 1/z0 = m/n0
-        lhs = n0 * (self.y0 * self.z0 + self.x0 * self.z0 + self.x0 * self.y0)
-        rhs = m * self.x0 * self.y0 * self.z0
-        if lhs != rhs:
-            raise ValueError(
-                f"role triple {tuple(self)} does not solve 1/x0 + 1/y0 + 1/z0 = {m}/{n0}"
-            )
+        x0, y0, z0 = self  # cross-multiplied form of 1/x0 + 1/y0 + 1/z0 = m/n0
+        if n0 * (y0 * z0 + x0 * z0 + x0 * y0) != m * x0 * y0 * z0:
+            raise ValueError(f"role triple {tuple(self)} does not solve 1/x0 + 1/y0 + 1/z0 = {m}/{n0}")
 
 
 class FamilySolution(NamedTuple):
@@ -63,36 +59,36 @@ def _checked(rc: ResidueClass, rt: RoleTriple, branch: str, x: RationalPoly,
     give x(0) = x0, y(0) = y0 and z(0) = z0, so the identity at lambda = 0 is
     ``RoleTriple.check``'s cross-multiplied equation; only a failed identity
     runs it, to tell a non-solving rt (ValueError) from a broken construction."""
-    triple = PolyTriple(x, y, z)
+    triple = tuple.__new__(PolyTriple, (x, y, z))
     if not identity_holds(rc, triple):
         rt.check(rc.m, rc.n0)
         raise ArithmeticError(f"{branch}-family construction broke the identity for {rc}")
     integral = x.is_positive_integral() and y.is_positive_integral() and z.is_positive_integral()
-    return FamilySolution(branch, triple, integral, 0 < len(y.nums) < 3)
+    return tuple.__new__(FamilySolution, (branch, triple, integral, 0 < len(y.nums) < 3))
 
 
 def plus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     """The plus branch through (x0, y0, z0); the one integer solutions live on."""
-    if min(rt) < 1:  # before any denominator; check names the member
-        rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
+    if x0 < 1 or y0 < 1 or z0 < 1:  # before any denominator; check names the member
+        rt.check(rc.m, rc.n0)
     _, n0, n1 = rc
     w = y0 + z0
-    x = RationalPoly([x0 * n0, x0 * n1], n0)
-    z = RationalPoly([z0 * n0 * w, n1 * y0 * z0], n0 * w)
-    y = RationalPoly([y0 * n0 * n0 * w, y0 * n1 * n0 * (w + y0), (y0 * n1) ** 2], n0 * n0 * w)
+    x = RationalPoly((x0 * n0, x0 * n1), n0)
+    z = RationalPoly((z0 * n0 * w, n1 * y0 * z0), n0 * w)
+    y = RationalPoly((y0 * n0 * n0 * w, y0 * n1 * n0 * (w + y0), (y0 * n1) ** 2), n0 * n0 * w)
     return _checked(rc, rt, "plus", x, y, z)
 
 
 def minus_family(rc: ResidueClass, rt: RoleTriple) -> FamilySolution:
     """The minus branch through (x0, y0, z0); never integral when gcd(m, n1) = 1."""
-    if min(rt) < 1:  # before any denominator; check names the member
-        rt.check(rc.m, rc.n0)
     x0, y0, z0 = rt
+    if x0 < 1 or y0 < 1 or z0 < 1:  # before any denominator; check names the member
+        rt.check(rc.m, rc.n0)
     m, n0, n1 = rc
-    x = RationalPoly([x0 * m * z0, n1 * (x0 + z0)], m * z0)
-    z = RationalPoly([z0 * m * x0, n1 * (x0 + z0)], m * x0)
-    y = RationalPoly([y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0), n1 * n1 * (y0 * m - n0)],
+    x = RationalPoly((x0 * m * z0, n1 * (x0 + z0)), m * z0)
+    z = RationalPoly((z0 * m * x0, n1 * (x0 + z0)), m * x0)
+    y = RationalPoly((y0 * n0 * n0 * m, n1 * n0 * (2 * y0 * m - n0), n1 * n1 * (y0 * m - n0)),
                      n0 * n0 * m)
     return _checked(rc, rt, "minus", x, y, z)
 

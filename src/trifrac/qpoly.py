@@ -44,6 +44,7 @@ def _coeff_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+_new = tuple.__new__
 _RationalPoly = NamedTuple("_RationalPoly", [("nums", tuple[int, ...]), ("den", int)])
 
 
@@ -61,8 +62,8 @@ class RationalPoly(_RationalPoly):
             nums = nums[:-1]
         g = gcd(den, *nums)
         if g > 1:
-            return tuple.__new__(cls, (tuple([c // g for c in nums]), den // g))
-        return tuple.__new__(cls, (nums, den))
+            nums, den = tuple([c // g for c in nums]), den // g
+        return _new(cls, (nums, den))
 
     @classmethod
     def _make(cls, iterable) -> "RationalPoly":  # canonical; _replace calls it too

@@ -42,6 +42,13 @@ too: every divisor of an n0 in [1, n1) coprime to n1 is itself there, so
 marking the multiples of each admitted f in [1, n1) coprime to n1 marks
 exactly the n0 with REASON_CONDITION_II at (k, l) (``_sieve_reasons``).
 
+Quadratic character: if 4 | m, an n0 admitted at (k, l) has Jacobi symbol
+(n0/P) = -1, so it is a square neither mod P nor mod n1.  Proof: m*k = 1
+(mod P) makes n0 = -(m*h)^-1, so (n0/P) = (-1/P)*(m*h/P), and (-1/P) = -1
+as P = 3 (mod 4).  Each odd prime q | m*h has P = -1 (mod q), so (q/P) =
+(-1/q)^2 = 1 by reciprocity; 2 | m*h to an odd power only if 8 | m*k, when
+P = 7 (mod 8) and (2/P) = 1.  So (m*h/P) = 1.
+
 ``identity_holds`` is the one identity check: it evaluates the cleared
 residual exactly at lambda = 2^k (Kronecker substitution), with 2^k more
 than twice any coefficient, so the value is zero only for the zero
@@ -267,7 +274,13 @@ def _packed_residual(rc: ResidueClass, pt: PolyTriple) -> tuple[int, int]:
     """
     m, n0, n1 = rc
     (X, a), (Y, b), (Z, c) = pt
-    nx, ny, nz = sum(map(abs, X)), sum(map(abs, Y)), sum(map(abs, Z))
+    nx = ny = nz = 0  # l1 norms: on a few terms, plain loops beat sum(map(abs, .))
+    for d in X:
+        nx += abs(d)
+    for d in Y:
+        ny += abs(d)
+    for d in Z:
+        nz += abs(d)
     bound = m * nx * ny * nz + (n0 + n1) * (c * nx * ny + b * nx * nz + a * ny * nz)
     k = (bound.bit_length() + 8) // 8 * 8
     u = v = w = 0

@@ -217,6 +217,24 @@ def is_quadratic_residue(a: int, n: int) -> bool:
     return any(w * w % n == target for w in range(n))
 
 
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity and
+    the supplementary law for 2 (no factoring)."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"jacobi requires an odd n >= 1, got {n}")
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
 class ParamFamily(NamedTuple):
     """The affine line of condition-ii solutions for a fixed (k, l).
 

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import build_grid
 from oracles import discriminant, identity_residual, linear, poly, poly_eval, role_assignments
 
+from trifrac import families
 from trifrac.base_solutions import enumerate_base_solutions
-from trifrac.families import RoleTriple, _checked, minus_family, plus_family
+from trifrac.families import FamilySolution, RoleTriple, _checked, minus_family, plus_family
 from trifrac.qpoly import RationalPoly
-from trifrac.theorem import ResidueClass, decide
+from trifrac.theorem import PolyTriple, ResidueClass, decide, identity_holds
 
 GOLDEN_RC = ResidueClass(5, 7, 9)
 GOLDEN_RT = RoleTriple(x0=14, y0=7, z0=2)
@@ -71,6 +74,35 @@ def test_minus_family_golden_coefficients():
     assert fam.triple.z == poly([2, Fraction(72, 35)])
     assert fam.triple.x == poly([14, Fraction(72, 5)])
     assert identity_residual(GOLDEN_RC, fam.triple).is_zero()
+
+
+def test_each_family_is_proved_once_on_what_it_returns(small_grid, monkeypatch):
+    """One ``identity_holds`` call per family, on the very members it returns;
+    the records are the exact NamedTuple types and every member is
+    in canonical form (last numerator nonzero, gcd(den, *nums) = 1)."""
+    calls = []
+
+    def recorder(rc, pt):
+        calls.append((rc, pt))
+        return identity_holds(rc, pt)
+
+    monkeypatch.setattr(families, "identity_holds", recorder)
+    count = 0
+    for rc in small_grid:
+        for bt in enumerate_base_solutions(rc.m, rc.n0):
+            for roles in role_assignments(bt):
+                for family in (plus_family, minus_family):
+                    calls.clear()
+                    fam = family(rc, RoleTriple(*roles))
+                    assert calls == [(rc, fam.triple)], (rc, roles, fam.branch)
+                    assert all(map(operator.is_, calls[0][1], fam.triple))  # the very members
+                    assert type(fam) is FamilySolution and type(fam.triple) is PolyTriple
+                    assert fam == FamilySolution(*fam)
+                    for p in fam.triple:
+                        assert type(p) is RationalPoly and type(p.nums) is tuple
+                        assert p.den >= 1 and p.nums[-1] != 0 and gcd(p.den, *p.nums) == 1
+                    count += 1
+    assert count == 20_012
 
 
 def test_minus_family_never_integral(small_grid):

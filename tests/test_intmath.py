@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import is_quadratic_residue, trial_divisors, trial_factorize
+from oracles import is_quadratic_residue, jacobi, trial_divisors, trial_factorize
 
 from trifrac.intmath import (
     _MR_ROWS,
@@ -147,6 +147,26 @@ def test_quadratic_residue_examples():
 def test_quadratic_residue_rejects_small_modulus():
     with pytest.raises(ValueError):
         is_quadratic_residue(3, 1)
+
+
+def test_jacobi_symbol_matches_the_exhaustive_squares():
+    """For an odd prime p, (a/p) is 0, 1 or -1 as p | a, a is a nonzero square
+    mod p (``is_quadratic_residue``) or not; for odd composite n it is the
+    product of (a/p)^e over p^e || n, and -1 only at a non-square mod n."""
+    legendre = {}
+    for p in primes_up_to(150)[1:]:
+        for a in range(p):
+            legendre[a, p] = 0 if a == 0 else 1 if is_quadratic_residue(a, p) else -1
+            assert jacobi(a, p) == jacobi(a + p, p) == jacobi(a - 3 * p, p) == legendre[a, p]
+    for n in range(1, 150, 2):
+        for a in range(n):
+            want = math.prod(legendre[a % p, p] ** e for p, e in trial_factorize(n).items())
+            assert jacobi(a, n) == want, (a, n)
+            assert want != -1 or not is_quadratic_residue(a, n), (a, n)
+    assert (jacobi(7, 9), jacobi(2, 15), jacobi(-1, 7)) == (1, 1, -1)
+    for n in (0, -3, 4):
+        with pytest.raises(ValueError, match="odd n >= 1"):
+            jacobi(1, n)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))

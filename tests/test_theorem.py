@@ -20,6 +20,7 @@ from oracles import (
     identity_holds_at_points,
     identity_residual,
     is_quadratic_residue,
+    jacobi,
     kl_square_sieve,
     linear,
     poly,
@@ -399,6 +400,38 @@ def test_identity_holds_agrees_with_the_residual_oracle(case):
     assert identity_holds(rc, pt) == expected.is_zero()
 
 
+@st.composite
+def integer_triples(draw):
+    """A residue class and three members with negative, zero and constant
+    coefficients, each over its own denominator (or the zero polynomial)."""
+    m, n0, n1 = draw(st.integers(4, 12)), draw(st.integers(1, 10**6)), draw(st.integers(2, 10**6))
+    assume(gcd(n0, n1) == 1 and gcd(n1, m) == 1)
+    members = [RationalPoly(draw(st.lists(st.integers(-10**12, 10**12), max_size=4)),
+                            draw(st.integers(1, 10**6))) for _ in range(3)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 2))
+        members[i] = RationalPoly([draw(st.integers(-10**6, 10**6))], members[i].den)
+    return ResidueClass(m, n0, n1), PolyTriple(*members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_triples())
+def test_the_evaluation_point_does_not_move(case):
+    """2^k is the point of the ``_packed_residual`` docstring: k is the least
+    whole number of bytes with 2^k > 2*bound, for the bound on R's
+    coefficients taken from the members' l1 norms (a product's coefficients
+    are at most the product of its factors' norms, and n0 + n1*lambda has
+    norm n0 + n1)."""
+    rc, pt = case
+    (X, a), (Y, b), (Z, c) = pt
+    nx, ny, nz = sum(map(abs, X)), sum(map(abs, Y)), sum(map(abs, Z))
+    bound = rc.m * nx * ny * nz + (rc.n0 + rc.n1) * (c * nx * ny + b * nx * nz + a * ny * nz)
+    k = 8
+    while 2 ** k <= 2 * bound:
+        k += 8
+    assert theorem._packed_residual(rc, pt)[1] == k
+
+
 BIG = 10**30
 
 
@@ -674,6 +707,42 @@ def test_admissible_residues_match_the_kl_square_route():
     assert max(len(enumerate_kl(m, n1)) for m, n1 in moduli) == 24  # (4, 45045)
     for m, n1 in moduli:
         assert admissible_residues(m, n1) == kl_square_sieve(m, n1), (m, n1)
+
+
+def test_no_solvable_n0_is_a_square_when_4_divides_m():
+    """The quadratic character of the ``theorem`` docstring: for 4 | m, an n0
+    admitted at (k, l) by the lemma has Jacobi symbol (n0/P) = -1, and no
+    solvable n0 is a square mod n1."""
+    cases = 0
+    for m in (4, 8, 12):
+        for n1 in range(2, 400):
+            if gcd(m, n1) != 1:
+                continue
+            admitted = set()
+            for k, l in enumerate_kl(m, n1):
+                p = m * k - 1
+                for h in trial_divisors(k * k):
+                    first = -k * pow(h, -1, p) % p
+                    for n0 in range(first or p, n1, p):
+                        if gcd(n0, n1) == 1:
+                            assert jacobi(n0, p) == -1, (m, n0, n1, k, h)
+                            admitted.add(n0)
+            solvable = admissible_residues(m, n1)
+            assert sorted(admitted) == solvable, (m, n1)
+            for n0 in solvable:
+                assert not is_quadratic_residue(n0, n1), (m, n0, n1)
+            cases += len(solvable)
+    assert cases == 11_837
+
+
+@pytest.mark.parametrize("m, n0, n1", [(5, 4, 9), (6, 4, 5), (7, 12, 13), (10, 9, 19)])
+def test_first_solvable_square_when_4_does_not_divide_m(m, n0, n1):
+    """Without 4 | m the character fails: the first solvable class, by n1 and
+    then n0, whose n0 is a square mod n1."""
+    assert is_quadratic_residue(n0, n1) and decide(ResidueClass(m, n0, n1)).is_solvable()
+    first = next((b, a) for b in range(2, n1 + 1) if gcd(m, b) == 1
+                 for a in admissible_residues(m, b) if is_quadratic_residue(a, b))
+    assert first == (n1, n0)
 
 
 def lemma_param_sets(rc: ResidueClass) -> list[ParamSet]:
