@@ -2,16 +2,16 @@
 exclusion rules, all driven by the complete decision procedure.
 
 The sieve behind ``admissible_residues`` marks n0 = -k*h^-1 (mod p) for the
-divisors h of k^2 (the lemma in ``theorem``).  A full scan and audits i and 3
-hand only those residues to ``decide``, which builds and verifies their
-solutions from the same ``_lemma_pairs`` (an audit raises AssertionError if it
-calls one unsolvable); a full scan's other rows are unsolvable, with the
-reasons the reason rule's sieve gives.
+divisors h of k^2 (the lemma in ``theorem``), from the ``_lemma_pairs`` found
+once per modulus.  A full scan and audits i and 3 hand only those residues to
+``decide``, with the same (k, l), which builds and verifies their solutions
+(an audit raises AssertionError if it calls one unsolvable); a full scan's
+other rows are unsolvable, with the reasons the reason rule's sieve gives.
 
-The audits deliberately report rather than assert for m != 4: the literal
+The audits deliberately report rather than assert unless 4 | m: the literal
 "n1 must be a multiple of 4k - 1" and "primes of the form 4K + 1 are
-excluded" readings are specializations of condition i) to m = 4, and for
-other m the sweeps do find verified solutions with modulus = 1 (mod 4)
+excluded" readings specialize condition i) to m = 4 (and hold for 4 | m), and
+for other m the sweeps do find verified solutions with modulus = 1 (mod 4)
 (e.g. m = 5, n0 = 23, n1 = 29).  A discrepancy is only ever recorded
 together with a parameter set and triple that pass exact verification.
 """
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .intmath import gcd, primes_up_to
 from .theorem import (DecisionOutcome, ResidueClass, _check_class, _evidence, _lemma_pairs,
-                      _sieve_reasons, _sieve_residues, decide)
+                      _sieve_reasons, _sieve_residues, decide, enumerate_kl)
 
 # Size limits, checked before anything is allocated (a residue subset of any
 # modulus may still be scanned).  Measured on a 2-core Xeon VM, Python 3.11: a full
@@ -59,7 +59,7 @@ class ScanReport(NamedTuple):
 
 def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanReport:
     """The outcome of every residue n0 coprime to n1 (or of a given subset, of
-    any modulus), ascending, with ``_lemma_pairs`` found once.  A subset runs
+    any modulus), ascending, with condition i) solved once.  A subset runs
     ``decide`` on each residue, a full scan only on those the sieve admits; it
     builds the others as ``decide`` would, with the reasons ``_sieve_reasons`` marks.
     The modulus (by ``enumerate_kl``) and the residues are checked before the loop,
@@ -69,7 +69,7 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
         _check_class(m, 1, n1)  # a class outside the domain is reported first
         raise ValueError(f"a full scan needs n1 <= {MAX_SCAN_MODULUS}, got {n1}; "
                          "scan a subset of residues instead")
-    pairs = list(_lemma_pairs(m, n1))
+    pairs = list(_lemma_pairs(m, n1)) if full else enumerate_kl(m, n1)
     if full:
         residues = [n0 for n0 in range(1, n1) if gcd(n0, n1) == 1]
     else:
@@ -85,7 +85,7 @@ def scan_residues(m: int, n1: int, residues: list[int] | None = None) -> ScanRep
     for n0 in residues:
         rc = new(ResidueClass, (m, n0, n1))
         if not full or n0 in admitted:
-            outcome = decide(rc, pairs=pairs)
+            outcome = decide(rc, pairs=kl_pairs)
         else:  # unsolvable, with the reason each (k, l)'s marks give
             outcome = new(DecisionOutcome, (rc, "unsolvable", (), kl_pairs, tuple(
                 [_evidence(rc, k, l, mark[n0]) for k, l, mark in kl_marks])))
@@ -119,12 +119,12 @@ def _check_bound(bound: int, least: int) -> None:
         raise ValueError(f"bound must be <= {MAX_AUDIT_BOUND}, got {bound}")
 
 
-def _solvable_residues(m: int, p: int, pairs: list):
-    """Solvable outcomes of p's residues, ascending in n0: ``decide`` runs only
-    on the residues the sieve finds from p's ``_lemma_pairs``, and must
-    agree."""
+def _solvable_residues(m: int, p: int, pairs: list, kl):
+    """Solvable outcomes of p's residues, ascending in n0: ``decide`` runs,
+    with p's (k, l) ``kl``, only on the residues the sieve finds from p's
+    ``_lemma_pairs``, and must agree."""
     for n0 in _sieve_residues(p, pairs):
-        outcome = decide(ResidueClass(m, n0, p), pairs=pairs)
+        outcome = decide(ResidueClass(m, n0, p), pairs=kl)
         if not outcome.is_solvable():
             raise AssertionError(f"sieved residue (m, n0, n1) = ({m}, {n0}, {p}) is unsolvable")
         yield outcome
@@ -137,7 +137,8 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
     admits any (k, l) and decide p's smallest solvable residue, if the sieve
     finds one.  A solvable residue where the m = 4 reading (p of the form
     4k - 1) forbids one is reported as a discrepancy with its verified
-    witness; for m = 4 that can never happen and the audit asserts it.
+    witness; for 4 | m (where l = 1 makes p = m*k - 1 = 3 (mod 4)) that can
+    never happen and the audit asserts it.
     """
     _check_bound(bound, 2)
     instances = []
@@ -146,9 +147,9 @@ def audit_condition_i(m: int, bound: int) -> AuditReport:
             continue
         pairs = list(_lemma_pairs(m, p))
         kl = [pair[:2] for pair in pairs]
-        solvable = next(_solvable_residues(m, p, pairs), None)
-        if m == 4 and p % 4 == 1 and kl:
-            raise AssertionError(f"m = 4, p = {p} = 1 (mod 4) admitted (k, l) = {kl}")
+        if m % 4 == 0 and p % 4 == 1 and kl:
+            raise AssertionError(f"m = {m}, p = {p} = 1 (mod 4) admitted (k, l) = {kl}")
+        solvable = next(_solvable_residues(m, p, pairs, kl), None)
         form_4k_minus_1 = p % 4 == 3
         if solvable and not form_4k_minus_1:
             verdict = "discrepancy"
@@ -176,7 +177,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
     Decides every sieved solvable residue of every prime p = 1 (mod 4)
     with p <= bound and gcd(p, m) = 1; the other residues are unsolvable.
     Each is a discrepancy and ships with its verified solutions; for
-    m = 4 the exclusion follows from condition i) and every instance comes
+    4 | m the exclusion follows from condition i) and every instance comes
     out consistent.
     """
     _check_bound(bound, 5)
@@ -186,7 +187,7 @@ def audit_corollary3(m: int, bound: int) -> AuditReport:
             continue
         pairs = list(_lemma_pairs(m, p))
         kl = tuple(pair[:2] for pair in pairs)
-        witnesses = list(_solvable_residues(m, p, pairs))
+        witnesses = list(_solvable_residues(m, p, pairs, kl))
         if witnesses:
             residues = [w.rc.n0 for w in witnesses]
             instances.append(AuditInstance(
@@ -216,13 +217,13 @@ def audit_corollary4(m: int, bound: int) -> AuditReport:
     for p in primes_up_to(bound):
         if gcd(p, m) != 1:
             continue
-        pairs = list(_lemma_pairs(m, p))
-        direct = decide(ResidueClass(m, 1, p), pairs=pairs)
-        shifted = decide(ResidueClass(m, p + 1, p), pairs=pairs)
+        kl = tuple(enumerate_kl(m, p))
+        direct = decide(ResidueClass(m, 1, p), pairs=kl)
+        shifted = decide(ResidueClass(m, p + 1, p), pairs=kl)
         solvable = tuple(o for o in (direct, shifted) if o.is_solvable())
         instances.append(AuditInstance(
             prime=p, verdict="discrepancy" if solvable else "consistent",
             detail=f"p = {p}: n = 1 (mod {p}) {'unexpectedly solvable' if solvable else 'unsolvable'}",
-            kl_pairs=tuple(pair[:2] for pair in pairs), witnesses=solvable,
+            kl_pairs=kl, witnesses=solvable,
         ))
     return AuditReport(audit="corollary-4", m=m, bound=bound, instances=tuple(instances))

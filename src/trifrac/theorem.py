@@ -23,7 +23,12 @@ l*(s*P - k) = r*n0, and gcd(l, n0) = 1 since l | n1, so r = l*h with
 n0*h = s*P - k.  Then iii) is h | s*k; as s*P = k (mod h) and
 gcd(h, P) = gcd(k, P) = 1 for h | k^2, h | s*k is h | k^2.  Conversely any
 such h gives a positive integer s, and r = l*h meets ii) and iii).  Call
-n0 admitted at (k, l) when such an h exists.
+n0 admitted at (k, l) when such an h exists.  At most two h qualify (the
+two-candidate corollary): t = -k*n0^-1 or t' = -k*n0 mod P, if it is <= k
+and divides k^2, with h = t or h = k^2/t'.  Proof: k is a unit mod P, and
+P > k.  An h <= k lies in [1, P), so n0*h = -k makes h = t; else k^2/h < k,
+and n0*h = -k times k^2/h gives k^2/h = -k*n0 = t'.  Conversely n0*t = -k
+and n0*(k^2/t') = -(t'/k)*(k^2/t') = -k.  ``_admits`` tests both.
 
 Every parameter set is a role assignment (x0, y0, z0) = (k*n0, s*n0,
 s*k*l/r) of a base triple of the lambda = 0 instance through x0 = k*n0, so
@@ -167,7 +172,7 @@ REASON_NO_BASE_TRIPLE = "no qualifying base triple"
 REASON_CONDITION_II = "no condition-ii positivity"
 
 # Most residues ``_lemma_pairs`` keeps in one (k, l)'s targets: far above
-# d(k^2) <= 567 in a full scan and 3,645 in the benchmark's decides.
+# d(k^2) <= 567 in a full scan (``decide`` builds no targets).
 _TARGET_SET_MAX = 1 << 16
 
 
@@ -321,6 +326,14 @@ def verify_identity(rc: ResidueClass, pt: PolyTriple) -> bool:
             and pt.z.is_positive_integral() and identity_holds(rc, pt))
 
 
+def _admits(k: int, p: int, f: int) -> bool:
+    """Whether f, a unit mod p = m*k - 1, is admitted at (k, l): t' = -k*f first, then t."""
+    t = -k * f % p
+    if t > k or k * k % t:
+        t = -k * pow(f, -1, p) % p
+    return t <= k and k * k % t == 0
+
+
 def _evidence(rc: ResidueClass, k: int, l: int, divisible: bool) -> KlEvidence:
     """Why (k, l) gives the class no solution: its condition-ii family and,
     by the reason rule, REASON_CONDITION_II iff a divisor of n0 is admitted.
@@ -338,11 +351,11 @@ def _evidence(rc: ResidueClass, k: int, l: int, divisible: bool) -> KlEvidence:
                       REASON_CONDITION_II if divisible else REASON_NO_BASE_TRIPLE)
 
 
-def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcome:
+def decide(rc: ResidueClass, *, pairs: Iterable[tuple[int, int]] | None = None) -> DecisionOutcome:
     """Complete decision for the residue class, in one pass over the (k, l)
-    of condition i).
+    of condition i), ``enumerate_kl(m, n1)`` unless a sweep passes them in.
 
-    Each (k, l) that admits n0 (the lemma in the module docstring) walks the
+    Each (k, l) that admits n0 (``_admits``: no k is factored) walks the
     base triples of m/n0 through x0 = k*n0 and tries each other member y0,
     ascending and once: it accepts when n0 | y0 and r = (s*n1 - k*l)/n0 is a
     positive integer for s = y0/n0.  Condition iii) holds by itself: the
@@ -352,20 +365,21 @@ def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcom
     sharing a triple; an admitted (k, l) that accepts nothing raises
     AssertionError.  Only an unsolvable class builds evidence, after the
     pass: REASON_CONDITION_II for a (k, l) that admits a divisor of n0 (the
-    reason rule), else REASON_NO_BASE_TRIPLE.  A sweep of one modulus passes its ``pairs``
-    (``list(_lemma_pairs(m, n1))``) in; otherwise each pair's lemma classes
-    are built as the pass reaches them and dropped after it.
+    reason rule), else REASON_NO_BASE_TRIPLE.
     """
     m, n0, n1 = rc
+    kl_pairs = tuple(enumerate_kl(m, n1) if pairs is None else pairs)
     solutions: list[tuple[ParamSet, PolyTriple]] = []
-    kl_pairs, failed, n0_divisors = [], [], None  # failed: (k, l, divisible) until a solution
+    failed, n0_divisors = [], None  # failed: (k, l, divisible) until a solution
 
-    for k, l, p, shifts, targets in _lemma_pairs(m, n1) if pairs is None else pairs:
-        kl_pairs.append((k, l))
-        if targets.isdisjoint([n0 * a % p for a in shifts]):
+    for k, l in kl_pairs:
+        p = m * k - 1
+        if not _admits(k, p, n0):
             if not solutions:
                 n0_divisors = divisors(n0) if n0_divisors is None else n0_divisors
-                failed.append((k, l, any(f * a % p in targets for f in n0_divisors for a in shifts)))
+                v, w = -k * pow(n0, -1, p) % p, p - k  # f | n0 has t' = w*f, t = v*(n0/f)
+                failed.append((k, l, any(k * k % t == 0 for f in n0_divisors
+                                         for t in (w * f % p, v * f % p) if t <= k)))
             continue
         found = len(solutions)
         for bt in enumerate_base_solutions(m, n0, k * n0):
@@ -388,7 +402,7 @@ def decide(rc: ResidueClass, *, pairs: Iterable | None = None) -> DecisionOutcom
 
     evidence = () if solutions else tuple([_evidence(rc, *pair) for pair in failed])
     return DecisionOutcome(rc, "solvable" if solutions else "unsolvable", tuple(solutions),
-                           tuple(kl_pairs), evidence)
+                           kl_pairs, evidence)
 
 
 class DegreeReport(NamedTuple):

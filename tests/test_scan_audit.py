@@ -99,6 +99,32 @@ def test_audit_condition_i_m4():
             assert inst.kl_pairs != ()
 
 
+@pytest.mark.parametrize("m", [8, 12])
+def test_audit_condition_i_consistent_when_4_divides_m(m):
+    # condition i makes every prime p = m*k - 1 = 3 (mod 4): no p = 1 (mod 4)
+    # has a (k, l), so the audit's assertion holds and nothing is flagged
+    report = audit_condition_i(m, 400)
+    assert not report.has_discrepancy
+    assert any(inst.witnesses for inst in report.instances)
+    for inst in report.instances:
+        if inst.prime % 4 == 1:
+            assert inst.kl_pairs == () and inst.witnesses == ()
+
+
+@pytest.mark.parametrize("m, asserts", [(4, True), (8, True), (12, True), (5, False)])
+def test_audit_condition_i_asserts_the_prime_form_when_4_divides_m(monkeypatch, m, asserts):
+    # a forged (k, l) for the prime 13 = 1 (mod 4), admitting no residue
+    lemma_pairs = theorem._lemma_pairs
+    monkeypatch.setattr(scan_audit, "_lemma_pairs", lambda m, p: iter(
+        [(1, 13, 13, {1}, set())] if p == 13 else lemma_pairs(m, p)))
+    if asserts:
+        with pytest.raises(AssertionError, match=rf"m = {m}, p = 13 = 1 \(mod 4\)"):
+            audit_condition_i(m, 20)
+    else:
+        report = audit_condition_i(m, 20)
+        assert [inst.kl_pairs for inst in report.instances if inst.prime == 13] == [((1, 13),)]
+
+
 def _lemma_classes(m: int, n1: int) -> list:
     """Each (k, l) of condition i) for n1 with p = n1/l and the lemma's
     classes {-k*h^-1 mod p : h | k^2}, by trial division."""
@@ -162,13 +188,13 @@ def test_a_scan_checks_its_class_once(monkeypatch):
 
 def _record_decided(monkeypatch) -> list[ResidueClass]:
     """The classes scans and audits hand to ``decide``, in order; each call
-    must pass its modulus's condition-i pairs with the lemma's classes,
-    found once per modulus (``_count_enumerate_kl`` counts that)."""
+    must pass its modulus's (k, l) of condition i, found once per modulus
+    (``_count_enumerate_kl`` counts that)."""
     decided = []
 
     def recording(rc, **kwargs):
         assert kwargs.keys() == {"pairs"}
-        assert kwargs["pairs"] == _lemma_classes(rc.m, rc.n1)
+        assert list(kwargs["pairs"]) == enumerate_kl(rc.m, rc.n1)
         decided.append(rc)
         return decide(rc, **kwargs)
 
@@ -184,6 +210,7 @@ def _count_enumerate_kl(monkeypatch) -> list[int]:
         return enumerate_kl(m, n1)
 
     monkeypatch.setattr(theorem, "enumerate_kl", counting)
+    monkeypatch.setattr(scan_audit, "enumerate_kl", counting)
     return moduli
 
 

@@ -788,13 +788,50 @@ def test_decide_matches_the_walk_on_every_pair():
 
 
 def test_decide_takes_its_pairs_in_one_pass():
-    # a one-shot iterator of the lemma classes decides as the list does
+    # a one-shot iterator of the (k, l) of condition i decides as the list does
     for m, n1 in [(m, n1) for m in range(4, 8) for n1 in range(2, 60) if gcd(m, n1) == 1]:
-        pairs = list(theorem._lemma_pairs(m, n1))
+        pairs = enumerate_kl(m, n1)
         for n0 in range(1, 2 * n1):
             if gcd(n0, n1) == 1:
                 rc = ResidueClass(m, n0, n1)
                 assert decide(rc, pairs=iter(pairs)) == decide(rc, pairs=pairs) == decide(rc), rc
+
+
+def test_admits_is_the_lemma_over_every_divisor_of_k_squared():
+    # the two candidates against every h | k^2 by trial division: at most two
+    # h qualify, and the grid holds classes where h = k (f = -1 mod p) and
+    # where two distinct h qualify
+    divs = {k: trial_divisors(k * k) for k in range(1, 61)}
+    checked = admitted = at_k = pairs_of_h = 0
+    for m in range(4, 13):
+        for k, hs in divs.items():
+            p = m * k - 1
+            for f in range(1, 2 * p):
+                if gcd(f, p) != 1:
+                    continue
+                qualify = [h for h in hs if (f * h + k) % p == 0]
+                assert len(qualify) <= 2, (m, k, f, qualify)
+                assert theorem._admits(k, p, f) == bool(qualify), (m, k, f)
+                checked += 1
+                admitted += bool(qualify)
+                at_k += k in qualify
+                pairs_of_h += len(qualify) == 2
+    assert (checked, admitted, at_k, pairs_of_h) == (201_372, 10_670, 1_080, 382)
+
+
+def test_decide_factors_no_k(monkeypatch):
+    # decide tests each (k, l) by the two candidates alone: with the lemma
+    # classes and factoring gone from theorem, outcomes do not move
+    def refuse(*args):
+        raise AssertionError("decide factors k")
+
+    monkeypatch.setattr(theorem, "_lemma_pairs", refuse)
+    monkeypatch.setattr(theorem, "factorize", refuse)
+    for rc in _coprime_grid(range(4, 8), 80):
+        assert decide(rc) == walk_decide(rc), rc
+    # n1 = 3*5*7*...*61: 65,536 (k, l), none admitting n0 = 1
+    out = decide(ResidueClass(4, 1, 58644190679703485491635))
+    assert out.status == "unsolvable" and len(out.kl_pairs) == len(out.evidence) == 65_536
 
 
 @pytest.mark.parametrize("bound", [1, 3])
